@@ -1,14 +1,13 @@
 // Microbenchmarks for the priority-queue substrate (paper Section III-B):
-// binary heap vs Fibonacci heap on Dijkstra-shaped workloads, and the
-// two-level heap on many-searches workloads. On sparse global routing graphs
-// (m = O(n)) binary heaps win, which is why the solver uses them.
+// binary vs 4-ary heap churn on Dijkstra-shaped workloads, the two-level
+// heap on many-searches workloads, and the cost of the length functor in the
+// search kernel on a routing-grid-shaped graph (m = O(n)).
 
 #include <benchmark/benchmark.h>
 
 #include "graph/dijkstra.h"
 #include "util/binary_heap.h"
 #include "util/d_ary_heap.h"
-#include "util/fibonacci_heap.h"
 #include "util/rng.h"
 #include "util/two_level_heap.h"
 
@@ -40,15 +39,6 @@ void BM_BinaryHeapChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BinaryHeapChurn)->Arg(1 << 14)->Arg(1 << 16);
-
-void BM_FibonacciHeapChurn(benchmark::State& state) {
-  for (auto _ : state) {
-    FibonacciHeap<double> heap;
-    Rng rng(1);
-    churn(heap, rng, static_cast<std::size_t>(state.range(0)), 4096);
-  }
-}
-BENCHMARK(BM_FibonacciHeapChurn)->Arg(1 << 14)->Arg(1 << 16);
 
 void BM_DAryHeapChurn(benchmark::State& state) {
   // The cache-friendly 4-ary heap on the same churn workload: siblings share
@@ -111,27 +101,6 @@ struct GridFixture {
     g = Graph(b);
   }
 };
-
-void BM_DijkstraGridHeapKind(benchmark::State& state) {
-  // Full Dijkstra over a routing-grid-shaped graph (m = O(n)): the paper's
-  // III-B argument in one number — binary beats Fibonacci here, and the
-  // 4-ary heap edges out binary on cache traffic.
-  const GridFixture f(48);
-  static constexpr DijkstraHeap kKinds[] = {
-      DijkstraHeap::kBinary, DijkstraHeap::kFibonacci, DijkstraHeap::kDAry};
-  static constexpr const char* kNames[] = {"binary", "fibonacci", "4-ary"};
-  const auto which = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        dijkstra(f.g, {0}, ArrayLength{f.len}, kInvalidVertex, kKinds[which]));
-  }
-  state.SetLabel(kNames[which]);
-}
-BENCHMARK(BM_DijkstraGridHeapKind)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_DijkstraLengthIndirection(benchmark::State& state) {
   // The templated search kernel's raison d'être: the same full-grid Dijkstra

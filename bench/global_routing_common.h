@@ -1,7 +1,8 @@
 /// \file global_routing_common.h
 /// Shared harness for Tables IV and V: full timing-constrained global
 /// routing on the eight (scaled) evaluation chips, one run per Steiner
-/// oracle, reporting WS / TNS / ACE4 / wirelength / vias / walltime.
+/// oracle, reporting WS / TNS / ACE4 / wirelength / vias / walltime, then
+/// whether each of the paper's qualitative claims holds on the totals.
 ///
 /// All runs share one ThreadPool through the Router sessions; per-net
 /// batches fan out onto it. Results are thread-count invariant, so
@@ -95,8 +96,62 @@ inline int run_global_routing_table(const char* table_name, bool with_dbif,
                    fmt_count(totals[m].vias), format_hms(totals[m].secs)});
   }
   std::fputs(table.to_string().c_str(), stdout);
-  std::printf("\nexpected shape: CD best (or tied) WS/TNS, lowest ACE4 and "
-              "via count,\nslightly higher wirelength; L1 worst timing.\n");
+
+  // The paper's qualitative claims, checked against the totals above. Each
+  // compares the subject with its strongest rival on one metric (ties hold).
+  // Print only: the exit code does not depend on the verdicts.
+  enum class Metric { kWs, kTns, kAce4, kVias };
+  const auto value = [&](std::size_t m, Metric k) {
+    switch (k) {
+      case Metric::kWs: return totals[m].ws;
+      case Metric::kTns: return totals[m].tns;
+      case Metric::kAce4: return totals[m].ace4;
+      case Metric::kVias: return static_cast<double>(totals[m].vias);
+    }
+    return 0.0;
+  };
+  // Same rounding as the table's "all" rows.
+  const auto show = [](Metric k, double v) {
+    if (k == Metric::kTns || k == Metric::kVias) {
+      return fmt_count(static_cast<long long>(v));
+    }
+    return fmt_double(v, k == Metric::kAce4 ? 2 : 0);
+  };
+  struct Claim {
+    const char* text;
+    std::size_t subject;  ///< index into all_methods()
+    Metric metric;
+    bool highest;  ///< the subject must be highest (else lowest)
+  };
+  constexpr std::size_t kL1 = 0, kCD = 3;
+  const Claim claims[] = {
+      {"CD best WS", kCD, Metric::kWs, true},
+      {"CD best TNS", kCD, Metric::kTns, true},
+      {"CD lowest ACE4", kCD, Metric::kAce4, false},
+      {"CD lowest vias", kCD, Metric::kVias, false},
+      {"L1 worst timing (WS)", kL1, Metric::kWs, false},
+      {"L1 worst timing (TNS)", kL1, Metric::kTns, false},
+  };
+  std::printf("\npaper claims on the totals:\n");
+  for (const Claim& c : claims) {
+    const auto beats = [&](double a, double b) {
+      return c.highest ? a > b : a < b;
+    };
+    std::size_t rival = c.subject == 0 ? 1 : 0;
+    for (std::size_t m = 0; m < 4; ++m) {
+      if (m != c.subject && beats(value(m, c.metric), value(rival, c.metric))) {
+        rival = m;
+      }
+    }
+    const double mine = value(c.subject, c.metric);
+    const double theirs = value(rival, c.metric);
+    std::printf("  %-22s %-13s (%s %s vs %s %s)\n", c.text,
+                beats(theirs, mine) ? "does not hold" : "holds",
+                method_name(all_methods()[c.subject]),
+                show(c.metric, mine).c_str(),
+                method_name(all_methods()[rival]),
+                show(c.metric, theirs).c_str());
+  }
   return 0;
 }
 

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
 
   // Typed event observer: batch progress lines while a round runs, and a
   // summary with congestion stats at every round barrier.
-  struct ProgressSink final : EventSink {
+  struct RoundPrinter final : EventSink {
     void on_router_round(const RouterRoundEvent& e) override {
       if (e.round_complete) {
         std::fprintf(stderr,

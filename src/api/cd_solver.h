@@ -91,8 +91,8 @@ class CdSolver {
   };
 
   /// Solves one instance on the calling thread, recycling session scratch.
-  /// Deterministic given the options seed; bit-identical to the legacy
-  /// one-shot entry point.
+  /// Deterministic given the options seed; bit-identical to a fresh-state
+  /// solve_cost_distance(instance, options, /*scratch=*/nullptr).
   StatusOr<SolveResult> solve(const CostDistanceInstance& instance,
                               const RunControl& control = {});
 

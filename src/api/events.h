@@ -1,11 +1,9 @@
 /// \file api/events.h
 /// Typed engine events — the observer surface of the streaming pipeline API.
 ///
-/// The single opaque `Progress` callback of the original RunControl could
-/// only express "done/total at some stage"; pipelines that multiplex solver
-/// lanes, batch jobs and router rounds need to know *which* boundary fired
-/// and what state it carries. An EventSink receives one typed call per
-/// boundary instead:
+/// Pipelines that multiplex solver lanes, batch jobs and router rounds need
+/// to know *which* boundary fired and what state it carries, so an
+/// EventSink receives one typed call per boundary:
 ///
 ///   on_solve_merge   core/cost_distance.cpp, after every component merge
 ///                    of a single solve() (solving thread)
@@ -32,12 +30,6 @@
 /// r+1. Handlers must not call back into the emitting session object (the
 /// engine may hold internal locks while delivering) — request_cancel() on a
 /// CancelToken is the supported way to influence a run from a handler.
-///
-/// The legacy `RunControl::on_progress` callback remains as a deprecated
-/// adapter: detail::LegacyProgressSink translates the progress-like subset
-/// of events back into the old `Progress` shape, bit-compatible with the
-/// pre-event behavior (it drops the new round_complete / cancelled
-/// summaries, which legacy observers never saw).
 
 #pragma once
 
@@ -154,75 +146,16 @@ class EventSink {
 
 namespace detail {
 
-// This adapter is the one place that reads the deprecated
-// RunControl::on_progress member by design.
-
-/// Translates typed events back into the deprecated Progress callback,
-/// bit-compatible with the pre-event behavior: merge ticks -> "solve", job
-/// completions -> "solve_batch", shard/batch boundaries -> "route". The new
-/// round_complete / cancelled summaries are dropped — legacy observers
-/// never received them.
-class LegacyProgressSink final : public EventSink {
- public:
-  explicit LegacyProgressSink(
-      const std::function<void(const Progress&)>& callback)
-      : callback_(callback) {}
-
-  void on_solve_merge(const SolveMergeEvent& event) override {
-    Progress p;
-    p.stage = "solve";
-    p.done = event.merges_done;
-    p.total = event.merges_total;
-    callback_(p);
-  }
-
-  void on_job(const JobEvent& event) override {
-    Progress p;
-    p.stage = "solve_batch";
-    p.done = event.completed;
-    p.total = event.submitted;
-    callback_(p);
-  }
-
-  void on_router_shard(const RouterShardEvent& event) override {
-    Progress p;
-    p.stage = "route";
-    p.done = event.nets_done;
-    p.total = event.nets_total;
-    p.round = event.round;
-    p.total_rounds = event.target_round;
-    callback_(p);
-  }
-
-  void on_router_round(const RouterRoundEvent& event) override {
-    if (event.round_complete || event.cancelled) return;
-    Progress p;
-    p.stage = "route";
-    p.done = event.nets_done;
-    p.total = event.nets_total;
-    p.round = event.round;
-    p.total_rounds = event.target_round;
-    callback_(p);
-  }
-
- private:
-  const std::function<void(const Progress&)>& callback_;
-};
-
-/// Resolves a RunControl's observers once per engine call: the typed sink
-/// (if installed) and the legacy callback (wrapped). Both may be active at
-/// once; emit_* forwards to each. An inactive fan makes every emit a no-op,
-/// so call sites can skip event construction via active().
+/// Resolves a RunControl's observer once per engine call. An inactive fan
+/// (no sink installed) makes every emit a no-op, so call sites can skip
+/// event construction via active().
 class EventFan {
  public:
-  explicit EventFan(const RunControl& control) : legacy_(control.on_progress) {
-    if (control.events != nullptr) sinks_[count_++] = control.events;
-    if (control.on_progress) sinks_[count_++] = &legacy_;
-  }
+  explicit EventFan(const RunControl& control) : sink_(control.events) {}
   EventFan(const EventFan&) = delete;
   EventFan& operator=(const EventFan&) = delete;
 
-  bool active() const { return count_ > 0; }
+  bool active() const { return sink_ != nullptr; }
 
   // Emission swallows handler exceptions (the EventSink contract): events
   // fire from solver hot loops, fire-and-forget stream lanes and batch
@@ -230,50 +163,33 @@ class EventFan {
   // leak through the api layer's no-throw Status boundary. Observation must
   // never alter engine behavior.
   void emit_solve_merge(const SolveMergeEvent& event) const {
-    for (int i = 0; i < count_; ++i) {
-      try {
-        sinks_[i]->on_solve_merge(event);
-      } catch (...) {
-      }
-    }
+    emit(&EventSink::on_solve_merge, event);
   }
   void emit_job(const JobEvent& event) const {
-    for (int i = 0; i < count_; ++i) {
-      try {
-        sinks_[i]->on_job(event);
-      } catch (...) {
-      }
-    }
+    emit(&EventSink::on_job, event);
   }
   void emit_router_shard(const RouterShardEvent& event) const {
-    for (int i = 0; i < count_; ++i) {
-      try {
-        sinks_[i]->on_router_shard(event);
-      } catch (...) {
-      }
-    }
+    emit(&EventSink::on_router_shard, event);
   }
   void emit_router_round(const RouterRoundEvent& event) const {
-    for (int i = 0; i < count_; ++i) {
-      try {
-        sinks_[i]->on_router_round(event);
-      } catch (...) {
-      }
-    }
+    emit(&EventSink::on_router_round, event);
   }
   void emit_fault(const FaultEvent& event) const {
-    for (int i = 0; i < count_; ++i) {
-      try {
-        sinks_[i]->on_fault(event);
-      } catch (...) {
-      }
-    }
+    emit(&EventSink::on_fault, event);
   }
 
  private:
-  LegacyProgressSink legacy_;
-  EventSink* sinks_[2]{};
-  int count_{0};
+  template <typename Event>
+  void emit(void (EventSink::*handler)(const Event&),
+            const Event& event) const {
+    if (sink_ == nullptr) return;
+    try {
+      (sink_->*handler)(event);
+    } catch (...) {
+    }
+  }
+
+  EventSink* sink_;
 };
 
 }  // namespace detail

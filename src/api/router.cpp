@@ -1059,12 +1059,8 @@ RouterRun& RouterRun::operator=(RouterRun&&) noexcept = default;
 Status RouterRun::step() {
   State& s = *state_;
   if (s.remaining <= 0) return s.last;
-  RunControl slice;
-  slice.cancel = s.base.cancel;
+  RunControl slice = s.base;
   slice.events = &s.sink;
-  slice.on_progress = s.base.on_progress;
-  slice.deadline = s.base.deadline;
-  slice.cancel_poll_interval = s.base.cancel_poll_interval;
   s.last = s.router->run(1, slice);
   if (s.last.ok()) --s.remaining;
   return s.last;
@@ -1111,20 +1107,6 @@ std::size_t RouterRun::dropped_events() const {
 void RouterRun::set_deadline(
     std::optional<std::chrono::steady_clock::time_point> d) {
   state_->base.deadline = d;
-}
-
-// Legacy one-shot wrapper (declared deprecated in route/router.h).
-RouterResult route_chip(const RoutingGrid& grid, const Netlist& netlist,
-                        const RouterOptions& options) {
-  CDST_CHECK(options.iterations >= 1);
-  Router session(grid, netlist, options);
-  const Status status = session.run(options.iterations);
-  // cdst-lint: allow(api-throw) deprecated legacy wrapper: route_chip's
-  // documented contract predates the Status discipline and throws.
-  if (!status.ok()) throw ContractViolation(status.to_string());
-  // Move the routes out — matches the zero-copy cost of the pre-session
-  // implementation, which built its result vectors in place.
-  return std::move(session).take_result();
 }
 
 }  // namespace cdst

@@ -27,7 +27,6 @@ class ShardTransport;
 
 struct RouterOptions {
   SteinerMethod method{SteinerMethod::kCD};
-  int iterations{6};  ///< rip-up & re-route rounds (>= 1)
   OracleParams oracle;
   CongestionParams congestion;
   /// Lagrangean weight update: slack magnitude (ps) that doubles a weight.
@@ -89,8 +88,8 @@ struct RouterOptions {
   bool shard_stealing{true};
 };
 
-/// Snapshot of a routing state: final (route_chip) or current
-/// (Router::result()).
+/// Snapshot of a routing state: current (Router::result()) or final
+/// (Router::take_result()).
 
 struct RouterResult {
   TimingSummary timing;
@@ -105,14 +104,5 @@ struct RouterResult {
   /// Final per-sink delay weights (the Lagrange multipliers).
   std::vector<double> sink_weights;
 };
-
-/// One-shot legacy entry: routes options.iterations rounds and discards all
-/// session state (prices, multipliers, thread pool). Thin wrapper over the
-/// session object; throws ContractViolation on invalid input where the
-/// session API would return a structured Status.
-CDST_DEPRECATED("use cdst::Router (api/cdst.h): construct once, run() "
-                "resumable rounds, keep prices/weights for warm re-routes")
-RouterResult route_chip(const RoutingGrid& grid, const Netlist& netlist,
-                        const RouterOptions& options);
 
 }  // namespace cdst

@@ -6,9 +6,10 @@
 /// children of a node, so sift-down touches ~half as many lines as a binary
 /// heap at the price of three extra key comparisons per level. On the
 /// Dijkstra-shaped workloads of this repo (push/decrease-heavy, m = O(n))
-/// that trade wins — see bench_heaps' DAryHeapChurn and DijkstraGridHeapKind
-/// rows. The addressable variant mirrors BinaryHeap's API exactly, so it is
-/// a drop-in backend for the search kernels and the two-level structure.
+/// that trade wins — see bench_heaps' DAryHeapChurn row. The addressable
+/// variant mirrors BinaryHeap's API exactly; the arity-2 instance is
+/// BinaryHeap itself (the search kernel's heap) and the 4-ary instance backs
+/// the two-level structure.
 
 #pragma once
 
@@ -119,7 +120,13 @@ class DAryHeap {
   };
 
   void ensure_pos(Id id) {
-    if (id >= pos_.size()) pos_.resize(static_cast<std::size_t>(id) + 1, kNpos);
+    if (id >= pos_.size()) [[unlikely]] grow_pos(id);
+  }
+  // Out of line so that push_or_decrease stays small enough for the
+  // compiler to inline into the search loops, which reserve() up front and
+  // never grow here.
+  [[gnu::noinline]] void grow_pos(Id id) {
+    pos_.resize(static_cast<std::size_t>(id) + 1, kNpos);
   }
 
   static std::size_t parent(std::size_t i) { return (i - 1) / Arity; }

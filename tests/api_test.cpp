@@ -1,16 +1,13 @@
 // Tests for the session API (api/cdst.h): structured Status/StatusOr,
 // CdSolver scratch recycling and deterministic batch solving, RunControl
-// progress/cancellation, the resumable warm-starting Router, and the
-// equivalence of the deprecated one-shot wrappers with the sessions that
-// now implement them.
-//
-// Compares against the deprecated legacy entry points on purpose.
-#define CDST_ALLOW_DEPRECATED
+// cancellation and typed EventSink observation, and the resumable
+// warm-starting Router.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -66,14 +63,16 @@ TEST(CdSolver, MatchesLegacyOneShotBitIdentically) {
   opts.future_cost = gi->fc.get();
   opts.seed = 5;
 
-  const SolveResult legacy = solve_cost_distance(gi->inst, opts);
+  // The core call on fresh state is what the legacy one-shot entry did.
+  const SolveResult one_shot =
+      solve_cost_distance(gi->inst, opts, /*scratch=*/nullptr);
   CdSolver solver(opts);
   for (int repeat = 0; repeat < 3; ++repeat) {
     const StatusOr<SolveResult> r = solver.solve(gi->inst);
     ASSERT_TRUE(r.ok()) << r.status().to_string();
-    EXPECT_DOUBLE_EQ(r->eval.objective, legacy.eval.objective);
-    EXPECT_EQ(r->tree.all_edges(), legacy.tree.all_edges());
-    EXPECT_EQ(r->stats.labels_settled, legacy.stats.labels_settled);
+    EXPECT_DOUBLE_EQ(r->eval.objective, one_shot.eval.objective);
+    EXPECT_EQ(r->tree.all_edges(), one_shot.tree.all_edges());
+    EXPECT_EQ(r->stats.labels_settled, one_shot.stats.labels_settled);
   }
 }
 
@@ -129,18 +128,28 @@ TEST(CdSolver, BatchIsBitIdenticalAtAnyThreadCount) {
   for (const int threads : {1, 2, 4}) {
     ThreadPool pool(threads);
     CdSolver solver({}, &pool);
-    std::size_t progress_calls = 0;
+    // A batch reports per-job completions and nothing else.
+    struct JobCounter final : EventSink {
+      std::size_t submitted{0};
+      std::size_t calls{0};
+      std::size_t other{0};
+      void on_job(const JobEvent& e) override {
+        EXPECT_EQ(e.submitted, submitted);
+        ++calls;
+      }
+      void on_solve_merge(const SolveMergeEvent&) override { ++other; }
+      void on_router_shard(const RouterShardEvent&) override { ++other; }
+      void on_router_round(const RouterRoundEvent&) override { ++other; }
+    } counter;
+    counter.submitted = jobs.size();
     RunControl control;
-    control.on_progress = [&](const Progress& p) {
-      EXPECT_STREQ(p.stage, "solve_batch");
-      EXPECT_EQ(p.total, jobs.size());
-      ++progress_calls;
-    };
+    control.events = &counter;
     const StatusOr<std::vector<SolveResult>> batch =
         solver.solve_batch(std::span<const CdSolver::Job>(jobs), control);
     ASSERT_TRUE(batch.ok()) << batch.status().to_string();
     ASSERT_EQ(batch->size(), reference.size());
-    EXPECT_EQ(progress_calls, jobs.size());
+    EXPECT_EQ(counter.calls, jobs.size());
+    EXPECT_EQ(counter.other, 0u);
     for (std::size_t i = 0; i < reference.size(); ++i) {
       EXPECT_EQ((*batch)[i].tree.all_edges(), reference[i].tree.all_edges())
           << "instance " << i << " at " << threads << " threads";
@@ -201,7 +210,7 @@ TEST(CdSolver, PreCancelledTokenShortCircuits) {
 }
 
 TEST(CdSolver, CancelMidSolveFromProgressCallback) {
-  // Cancel from inside the merge-progress callback; the solver must unwind
+  // Cancel from inside the merge-tick handler; the solver must unwind
   // cleanly (ASan run verifies leak-freedom of the abandoned search state)
   // and the session must stay usable for the next solve.
   const auto gi = make_grid_instance(41, 20, 20, 4, 40);
@@ -212,17 +221,21 @@ TEST(CdSolver, CancelMidSolveFromProgressCallback) {
   RunControl control;
   control.cancel = &token;
   control.cancel_poll_interval = 16;  // tight polling for the test
-  std::size_t merges_seen = 0;
-  control.on_progress = [&](const Progress& p) {
-    EXPECT_STREQ(p.stage, "solve");
-    merges_seen = p.done;
-    if (p.done >= 2) token.request_cancel();
-  };
+  struct CancelAfterTwoMerges final : EventSink {
+    CancelToken* token{nullptr};
+    std::size_t merges_seen{0};
+    void on_solve_merge(const SolveMergeEvent& e) override {
+      merges_seen = e.merges_done;
+      if (e.merges_done >= 2) token->request_cancel();
+    }
+  } sink;
+  sink.token = &token;
+  control.events = &sink;
   const StatusOr<SolveResult> r = solver.solve(gi->inst, control);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
-  EXPECT_GE(merges_seen, 2u);
-  EXPECT_LT(merges_seen, gi->inst.sinks.size())
+  EXPECT_GE(sink.merges_seen, 2u);
+  EXPECT_LT(sink.merges_seen, gi->inst.sinks.size())
       << "cancellation should have stopped the solve well before completion";
 
   // The same session finishes the instance when allowed to.
@@ -232,34 +245,6 @@ TEST(CdSolver, CancelMidSolveFromProgressCallback) {
 }
 
 // ------------------------------------------------------------------ router --
-
-TEST(RouterSession, MatchesLegacyRouteChipBitIdentically) {
-  const ChipConfig c = tiny_chip();
-  const RoutingGrid grid = make_chip_grid(c);
-  const Netlist nl = generate_netlist(c, grid);
-  RouterOptions opts;
-  opts.method = SteinerMethod::kCD;
-  opts.iterations = 3;
-  opts.seed = 5;
-  const RouterResult legacy = route_chip(grid, nl, opts);
-
-  Router session(grid, nl, opts);
-  ASSERT_TRUE(session.run(3).ok());
-  EXPECT_EQ(session.rounds_completed(), 3);
-  const RouterResult r = session.result();
-  ASSERT_EQ(r.routes.size(), legacy.routes.size());
-  for (std::size_t i = 0; i < r.routes.size(); ++i) {
-    EXPECT_EQ(r.routes[i], legacy.routes[i]) << "net " << i;
-  }
-  ASSERT_EQ(r.sink_delays.size(), legacy.sink_delays.size());
-  for (std::size_t s = 0; s < r.sink_delays.size(); ++s) {
-    EXPECT_DOUBLE_EQ(r.sink_delays[s], legacy.sink_delays[s]);
-    EXPECT_DOUBLE_EQ(r.sink_weights[s], legacy.sink_weights[s]);
-  }
-  EXPECT_DOUBLE_EQ(r.timing.total_negative_slack,
-                   legacy.timing.total_negative_slack);
-  EXPECT_EQ(r.wires.num_vias, legacy.wires.num_vias);
-}
 
 TEST(RouterSession, WarmResumedRunsMatchOneFreshRun) {
   // run(2); run(2) must be bit-identical to run(4): seeds and multiplier
@@ -336,11 +321,17 @@ TEST(RouterSession, CancelMidRunLeavesCoherentResumableState) {
   CancelToken token;
   RunControl control;
   control.cancel = &token;
-  std::size_t batches_seen = 0;
-  control.on_progress = [&](const Progress& p) {
-    EXPECT_STREQ(p.stage, "route");
-    if (++batches_seen == 2) token.request_cancel();
-  };
+  // Cancel from inside the handler at the second mid-round batch boundary.
+  struct CancelAtSecondBatch final : EventSink {
+    CancelToken* token{nullptr};
+    std::size_t batches_seen{0};
+    void on_router_round(const RouterRoundEvent& e) override {
+      if (e.round_complete || e.cancelled) return;
+      if (++batches_seen == 2) token->request_cancel();
+    }
+  } sink;
+  sink.token = &token;
+  control.events = &sink;
   const Status st = session.run(2, control);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kCancelled);
@@ -584,23 +575,68 @@ TEST(EventSink, CancelledRunEmitsFinalRoundSummary) {
   EXPECT_EQ(sink.summaries.back().nets_done, 0u);
 }
 
-TEST(EventSink, LegacyProgressAndTypedSinkBothObserve) {
-  const auto gi = make_grid_instance(61, 10, 10, 3, 6);
-  SolverOptions opts;
-  opts.future_cost = gi->fc.get();
-  CdSolver solver(opts);
-  RecordingSink sink;
-  std::size_t legacy_calls = 0;
-  RunControl control;
-  control.events = &sink;
-  control.on_progress = [&](const Progress& p) {
-    EXPECT_STREQ(p.stage, "solve");
-    ++legacy_calls;
+TEST(EventSink, ThrowingSinkNeverAltersRouterResults) {
+  // Every handler throws; emission swallows the exceptions, so a sharded
+  // run, a batched run and a run_async stream all return OK with results
+  // bit-identical to an unobserved session.
+  struct ThrowingSink final : EventSink {
+    std::size_t calls{0};
+    void on_solve_merge(const SolveMergeEvent&) override { raise(); }
+    void on_job(const JobEvent&) override { raise(); }
+    void on_router_shard(const RouterShardEvent&) override { raise(); }
+    void on_router_round(const RouterRoundEvent&) override { raise(); }
+    void on_fault(const FaultEvent&) override { raise(); }
+    void raise() {
+      ++calls;
+      throw std::runtime_error("observer failure");
+    }
   };
-  ASSERT_TRUE(solver.solve(gi->inst, control).ok());
-  EXPECT_EQ(sink.merges.size(), gi->inst.sinks.size());
-  EXPECT_EQ(legacy_calls, gi->inst.sinks.size())
-      << "the deprecated callback is adapted, not dropped";
+  const ChipConfig c = tiny_chip();
+  const RoutingGrid grid = make_chip_grid(c);
+  const Netlist nl = generate_netlist(c, grid);
+
+  const auto expect_same = [](const RouterResult& a, const RouterResult& b) {
+    ASSERT_EQ(a.routes.size(), b.routes.size());
+    for (std::size_t i = 0; i < a.routes.size(); ++i) {
+      EXPECT_EQ(a.routes[i], b.routes[i]) << "net " << i;
+    }
+    ASSERT_EQ(a.sink_delays.size(), b.sink_delays.size());
+    for (std::size_t s = 0; s < a.sink_delays.size(); ++s) {
+      EXPECT_EQ(a.sink_delays[s], b.sink_delays[s]) << "sink " << s;
+    }
+  };
+
+  for (const int shards : {2, 0}) {
+    SCOPED_TRACE(shards == 0 ? "batched" : "sharded");
+    RouterOptions opts;
+    opts.method = SteinerMethod::kCD;
+    opts.batch_size = 16;
+    opts.shards = shards;
+    opts.threads = 2;
+
+    Router plain(grid, nl, opts);
+    ASSERT_TRUE(plain.run(2).ok());
+    const RouterResult reference = std::move(plain).take_result();
+
+    ThrowingSink sink;
+    RunControl control;
+    control.events = &sink;
+    Router observed(grid, nl, opts);
+    const Status st = observed.run(2, control);
+    ASSERT_TRUE(st.ok()) << st.to_string();
+    EXPECT_GT(sink.calls, 0u);
+    expect_same(std::move(observed).take_result(), reference);
+
+    ThrowingSink stream_sink;
+    control.events = &stream_sink;
+    Router streamed(grid, nl, opts);
+    {
+      RouterRun run = streamed.run_async(2, control);
+      ASSERT_TRUE(run.drain().ok());
+    }
+    EXPECT_GT(stream_sink.calls, 0u);
+    expect_same(std::move(streamed).take_result(), reference);
+  }
 }
 
 // ---------------------------------------------------------------- movability --

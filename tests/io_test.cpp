@@ -1,6 +1,4 @@
 // Tests for instance serialization, the table printer and the SVG emitter.
-// Uses the deprecated one-shot solve wrapper on purpose (legacy coverage).
-#define CDST_ALLOW_DEPRECATED
 
 #include <gtest/gtest.h>
 
@@ -49,8 +47,9 @@ TEST(InstanceIo, RoundTripPreservesSolution) {
 
   SolverOptions opts;  // no future cost: generic-graph path, deterministic
   opts.seed = 4;
-  const auto a = solve_cost_distance(inst, opts);
-  const auto b = solve_cost_distance(loaded.instance, opts);
+  const auto a = solve_cost_distance(inst, opts, /*scratch=*/nullptr);
+  const auto b =
+      solve_cost_distance(loaded.instance, opts, /*scratch=*/nullptr);
   EXPECT_DOUBLE_EQ(a.eval.objective, b.eval.objective);
 }
 

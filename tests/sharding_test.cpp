@@ -64,7 +64,7 @@ TEST(ArcCostView, AlignsWithGraphArcPlane) {
 TEST(ArcCostView, DijkstraBitIdenticalToPerEdgePath) {
   // A random multigraph: the blocked SoA relaxation must produce exactly
   // the labels and parents of the classic per-edge loop, for both functor
-  // families and every heap kind.
+  // families.
   Rng rng(11);
   GraphBuilder b(120);
   std::vector<double> cost, delay;
@@ -79,23 +79,17 @@ TEST(ArcCostView, DijkstraBitIdenticalToPerEdgePath) {
   const Graph g(b);
   const ArcCostView view(g, cost, delay);
 
-  for (const DijkstraHeap heap :
-       {DijkstraHeap::kBinary, DijkstraHeap::kDAry, DijkstraHeap::kFibonacci}) {
-    const DijkstraResult scalar =
-        dijkstra(g, {0, 17}, ArrayLength{cost}, kInvalidVertex, heap);
-    const DijkstraResult soa =
-        dijkstra(g, {0, 17}, ArrayLength(view), kInvalidVertex, heap);
-    ASSERT_EQ(scalar.dist, soa.dist);
-    ASSERT_EQ(scalar.parent_edge, soa.parent_edge);
-    ASSERT_EQ(scalar.parent, soa.parent);
+  const DijkstraResult scalar = dijkstra(g, {0, 17}, ArrayLength{cost});
+  const DijkstraResult soa = dijkstra(g, {0, 17}, ArrayLength(view));
+  ASSERT_EQ(scalar.dist, soa.dist);
+  ASSERT_EQ(scalar.parent_edge, soa.parent_edge);
+  ASSERT_EQ(scalar.parent, soa.parent);
 
-    const DijkstraResult scalar_cd = dijkstra(
-        g, {3}, CostDelayLength{cost, delay, 2.5}, kInvalidVertex, heap);
-    const DijkstraResult soa_cd =
-        dijkstra(g, {3}, CostDelayLength(view, 2.5), kInvalidVertex, heap);
-    ASSERT_EQ(scalar_cd.dist, soa_cd.dist);
-    ASSERT_EQ(scalar_cd.parent_edge, soa_cd.parent_edge);
-  }
+  const DijkstraResult scalar_cd =
+      dijkstra(g, {3}, CostDelayLength{cost, delay, 2.5});
+  const DijkstraResult soa_cd = dijkstra(g, {3}, CostDelayLength(view, 2.5));
+  ASSERT_EQ(scalar_cd.dist, soa_cd.dist);
+  ASSERT_EQ(scalar_cd.parent_edge, soa_cd.parent_edge);
 }
 
 TEST(ArcCostView, CdSolveBitIdenticalToScalarPath) {
