@@ -1,6 +1,7 @@
 // Microbenchmark for the router's round disciplines: the legacy batched
 // rip-up & re-route loop (shards = 0) against spatially sharded rounds
-// (shards >= 1, route/sharding.h). Sharded rounds freeze the price plane
+// (shards >= 1, route/sharding.h), plus the L1/SL/PD baselines' embedding
+// DP in batched rounds. Sharded rounds freeze the price plane
 // once per round — windows gather prices instead of exponentiating per
 // edge — and fan shards out across the worker pool, so they win twice:
 // less work per net even single-threaded, and chunk-parallel scaling with
@@ -88,6 +89,31 @@ BENCHMARK(BM_Router_Sharded)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
+
+/// The embedding-DP layer: the baselines' oracle (a plane topology embedded
+/// optimally by embed/embedder) inside batched rounds (shards = 0), the
+/// discipline the Table IV harness runs them in. arg 0: L1, 1: SL, 2: PD.
+/// Same fixture, pool and round count as BM_Router_Sharded, so the rows
+/// compare against its CD rows directly.
+void BM_Router_Embedded(benchmark::State& state) {
+  constexpr SteinerMethod kMethods[] = {SteinerMethod::kL1, SteinerMethod::kSL,
+                                        SteinerMethod::kPD};
+  const SteinerMethod method = kMethods[state.range(0)];
+  const Fixture& f = fixture();
+  RouterOptions opts = options_for(/*shards=*/0);
+  opts.method = method;
+  for (auto _ : state) {
+    Router session(f.grid, f.netlist, opts);
+    benchmark::DoNotOptimize(session.run(2));
+    benchmark::DoNotOptimize(session.result());
+  }
+  state.SetLabel(method_name(method));
+}
+BENCHMARK(BM_Router_Embedded)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 /// Sharded rounds across the transport tiers (dist/transport.h): arg 0 runs

@@ -547,6 +547,12 @@ struct Router::Impl {
     // completion event. The schedule only reorders execution — every net is
     // claimed exactly once and commits into outcomes[] by net index — so
     // results are bit-identical to the static route_shard path.
+    //
+    // The "router.shard" fault point fires once per span, owned or stolen.
+    // A span interrupted by a fault is claimed but never routed, so its
+    // shard never completes in this attempt, and the serial retry re-runs
+    // it. A per-claim fault point would let a peer steal every span of the
+    // faulted shard and mark it done behind the fault.
     const auto steal_lane = [&](ShardStealSchedule& sched) {
       SparseMap<double> excluded;
       std::vector<ShardStealSchedule::Span> lifo;
@@ -555,6 +561,7 @@ struct Router::Impl {
           const ShardStealSchedule::Span s = lifo.back();
           lifo.pop_back();
           const auto sh = static_cast<std::size_t>(s.shard);
+          CDST_FAULT_POINT("router.shard");
           route_net_span(sh, s.begin, s.end, excluded);
           if (sched.complete(s)) {
             if (fan.active()) {
@@ -567,7 +574,6 @@ struct Router::Impl {
         }
       };
       for (int sh = sched.claim_shard(); sh >= 0; sh = sched.claim_shard()) {
-        CDST_FAULT_POINT("router.shard");
         for (;;) {
           const ShardStealSchedule::Span s =
               sched.take_span(sh, /*stolen=*/false);

@@ -11,6 +11,24 @@
 /// above node i delays every sink below it, hence the weight multiplier.
 /// Bifurcation penalties are position-independent constants per topology and
 /// are accounted by the objective evaluator.
+///
+/// Bounded propagation. Sink nodes are pinned to their sink vertex and node 0
+/// to the root vertex. A pinned parent reads its children's propagations at
+/// its pin only: F_p(pin) is the sum of their values there, and the
+/// backtrack walks each child's parent chain from the pin. So a node under a
+/// pinned parent (most nodes: every child of a sink or of the root) stops
+/// its Dijkstra once the pin is settled and keeps just {value at the pin,
+/// seed vertex, edge path}; a pinned node seeds its own search with the
+/// single label (pin, F_i(pin)). Only nodes under a Steiner parent keep a
+/// full n-sized table. The bounded searches share one set of labels and one
+/// heap per call and reset only the vertices they labelled.
+///
+/// This is exact, not an approximation: up to the pop of the target, a
+/// stopped search performs the same heap operations in the same order as
+/// the full one, and a settled label is final (graph/dijkstra.h's target
+/// contract). The value, the placement and the path are therefore
+/// bit-identical to the full propagation's, and so are trees and
+/// evaluations.
 
 #pragma once
 

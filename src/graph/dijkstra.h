@@ -4,6 +4,12 @@
 /// topology-embedding DP, and as a reference implementation in tests (the
 /// cost-distance solver has its own specialized multi-metric search).
 ///
+/// A search given a target stops once the target is settled, and what it
+/// settled is exactly what the untargeted search computes: dist[target] and
+/// the parent chain back to the seed are bit-identical (see the target
+/// contract at dijkstra_search). The embedding DP relies on this to stop
+/// its propagations early.
+///
 /// The search kernel is a function template so that callers can pass concrete
 /// functor types (ArrayLength, CostDelayLength, a lambda, ...) and the length
 /// evaluation inlines into the relax loop. `EdgeLengthFn` (a std::function)
@@ -155,19 +161,43 @@ concept ArcPlaneLength = requires(const T& t, std::uint32_t a) {
 /// fixes the tie-break order among equal keys, which every tree, route and
 /// evaluation downstream inherits — so switching heaps is a results change,
 /// not a tuning knob.
+///
+/// `r.dist` must arrive all-inf. Parent entries are written for every vertex
+/// the search labels (invalid at seeds), so stale ones at unlabelled
+/// vertices are never read. `heap` must be empty and is left empty; a
+/// cleared heap behaves exactly like a fresh one, so callers running many
+/// searches reuse one. If `labelled` is non-null, every vertex whose dist
+/// the search sets is appended to it once, so the caller can reset just
+/// those dist entries.
+///
+/// Target contract: with a valid `target` the search stops right after
+/// popping it, and the settled prefix is final. Until that pop the heap
+/// sees exactly the operations of the untargeted run, in the same order.
+/// Lengths are non-negative and updates need a strict improvement, so a
+/// popped vertex's dist and parent edge never change afterwards, and every
+/// vertex on its parent chain popped earlier. Hence dist[target] and the
+/// parent chain from target back to its seed are bit-identical to the
+/// untargeted run's; labels of unsettled vertices are not.
 template <typename LengthFn>
 void dijkstra_search(const Graph& g,
                      const std::vector<std::pair<VertexId, double>>& seeds,
                      const LengthFn& length, VertexId target,
-                     DijkstraResult& r) {
-  BinaryHeap<double> heap;
-  heap.reserve(g.num_vertices());
+                     DijkstraResult& r, BinaryHeap<double>& heap,
+                     std::vector<VertexId>* labelled = nullptr) {
+  CDST_ASSERT(heap.empty());
+  // Commits an improved label; shared by the seeding and all relax paths.
+  const auto improve = [&](VertexId v, double d, EdgeId via, VertexId from) {
+    if (labelled != nullptr && r.dist[v] == DijkstraResult::kInf) {
+      labelled->push_back(v);
+    }
+    r.dist[v] = d;
+    r.parent_edge[v] = via;
+    r.parent[v] = from;
+    heap.push_or_decrease(v, d);
+  };
   for (const auto& [v, d] : seeds) {
     CDST_CHECK(v < g.num_vertices());
-    if (d < r.dist[v]) {
-      r.dist[v] = d;
-      heap.push_or_decrease(v, d);
-    }
+    if (d < r.dist[v]) improve(v, d, kInvalidEdge, kInvalidVertex);
   }
 
   bool arc_plane = false;
@@ -208,22 +238,17 @@ void dijkstra_search(const Graph& g,
             const Vec4d nd1 = du4 + length.arc_value4(s + Vec4d::kLanes);
             nd0.store(nd);
             nd1.store(nd + Vec4d::kLanes);
-            unsigned improve = static_cast<unsigned>(
+            unsigned improve_mask = static_cast<unsigned>(
                 Vec4d::lt_mask(nd0, Vec4d::gather(r.dist.data(), heads + s)) |
                 Vec4d::lt_mask(nd1, Vec4d::gather(r.dist.data(),
                                                   heads + s + Vec4d::kLanes))
                     << Vec4d::kLanes);
-            while (improve != 0) {
-              const int k = std::countr_zero(improve);
-              improve &= improve - 1;
+            while (improve_mask != 0) {
+              const int k = std::countr_zero(improve_mask);
+              improve_mask &= improve_mask - 1;
               const VertexId to = heads[s + k];
               CDST_ASSERT(nd[k] >= du);
-              if (nd[k] < r.dist[to]) {
-                r.dist[to] = nd[k];
-                r.parent_edge[to] = edges[s + k];
-                r.parent[to] = u;
-                heap.push_or_decrease(to, nd[k]);
-              }
+              if (nd[k] < r.dist[to]) improve(to, nd[k], edges[s + k], u);
             }
             continue;
           }
@@ -234,12 +259,7 @@ void dijkstra_search(const Graph& g,
           for (std::uint32_t k = 0; k < cnt; ++k) {
             const VertexId to = heads[s + k];
             CDST_ASSERT(nd[k] >= du);
-            if (nd[k] < r.dist[to]) {
-              r.dist[to] = nd[k];
-              r.parent_edge[to] = edges[s + k];
-              r.parent[to] = u;
-              heap.push_or_decrease(to, nd[k]);
-            }
+            if (nd[k] < r.dist[to]) improve(to, nd[k], edges[s + k], u);
           }
         }
         continue;
@@ -250,18 +270,14 @@ void dijkstra_search(const Graph& g,
       const double w = length(a.edge);
       CDST_ASSERT(w >= 0.0);
       const double nd = du + w;
-      if (nd < r.dist[a.to]) {
-        r.dist[a.to] = nd;
-        r.parent_edge[a.to] = a.edge;
-        r.parent[a.to] = u;
-        heap.push_or_decrease(a.to, nd);
-      }
+      if (nd < r.dist[a.to]) improve(a.to, nd, a.edge, u);
     }
   }
+  heap.clear();
 }
 
-/// Dijkstra with per-source initial distances ("potential" form used by the
-/// topology embedding DP: labels seed from a previous DP table).
+/// Dijkstra with per-source initial distances ("potential" form: labels seed
+/// from a previous table), into a fresh result.
 template <typename LengthFn>
 DijkstraResult dijkstra_with_initial_labels(
     const Graph& g, const std::vector<std::pair<VertexId, double>>& seeds,
@@ -271,7 +287,9 @@ DijkstraResult dijkstra_with_initial_labels(
   r.dist.assign(n, DijkstraResult::kInf);
   r.parent_edge.assign(n, kInvalidEdge);
   r.parent.assign(n, kInvalidVertex);
-  dijkstra_search(g, seeds, length, target, r);
+  BinaryHeap<double> heap;
+  heap.reserve(n);
+  dijkstra_search(g, seeds, length, target, r, heap);
   return r;
 }
 
@@ -289,7 +307,8 @@ DijkstraResult dijkstra(const Graph& g, const std::vector<VertexId>& sources,
 
 /// Potential-seeded Dijkstra over a full initial vector: computes
 /// M(v) = min_u ( init[u] + dist(u, v) ) for all v. Entries with +inf are
-/// not seeded. The workhorse of the optimal topology embedding.
+/// not seeded, so seeds enter in vertex order — the order the embedding DP
+/// (embed/embedder.cpp) seeds its floating nodes in.
 template <typename LengthFn>
 DijkstraResult dijkstra_from_potentials(const Graph& g,
                                         const std::vector<double>& init,

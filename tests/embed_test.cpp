@@ -3,14 +3,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <string>
 
 #include "embed/embedder.h"
 #include "embed/enumerate.h"
+#include "graph/arc_cost_view.h"
 #include "graph/dijkstra.h"
 #include "grid/routing_grid.h"
+#include "topology/prim_dijkstra.h"
 #include "topology/rsmt.h"
+#include "topology/shallow_light.h"
 #include "util/rng.h"
 
 namespace cdst {
@@ -25,8 +33,13 @@ struct GridInstance {
   Point2 root_xy;
 };
 
+/// `unit_metric` sets every edge's cost and delay to 1: every search metric
+/// is then uniform, so equal-hop paths tie exactly and the heap's tie order
+/// decides the tree. The random cost factors are drawn either way, so pins
+/// and weights do not depend on it.
 GridInstance make_instance(std::uint64_t seed, int nx, int ny, int nz,
-                           std::size_t num_sinks, double dbif = 0.0) {
+                           std::size_t num_sinks, double dbif = 0.0,
+                           bool unit_metric = false) {
   GridInstance gi;
   gi.grid = std::make_unique<RoutingGrid>(
       nx, ny, make_default_layer_stack(nz), ViaSpec{});
@@ -35,9 +48,10 @@ GridInstance make_instance(std::uint64_t seed, int nx, int ny, int nz,
   gi.cost.resize(g.num_edges());
   gi.delay = gi.grid->edge_delays();
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    gi.cost[e] =
-        gi.grid->base_costs()[e] * std::exp(rng.uniform_double(0.0, 1.5));
+    const double factor = std::exp(rng.uniform_double(0.0, 1.5));
+    gi.cost[e] = unit_metric ? 1.0 : gi.grid->base_costs()[e] * factor;
   }
+  if (unit_metric) gi.delay.assign(g.num_edges(), 1.0);
   gi.inst.graph = &g;
   gi.inst.cost = &gi.cost;
   gi.inst.delay = &gi.delay;
@@ -168,6 +182,213 @@ TEST_P(EmbedSeeds, EmbeddedTreesAreStructurallySound) {
                   /*allow_shared_edges=*/true);
   const TreeEvaluation re = evaluate_tree(r.tree, gi.inst);
   EXPECT_NEAR(re.objective, r.eval.objective, 1e-9);
+}
+
+// ------------------------------------------------ bounded-DP differential
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// The full-propagation DP the embedder used before its searches stopped at
+/// pinned parents: every node's table is propagated over the whole graph
+/// and kept for the backtrack. Kept here as the reference the bounded DP
+/// must match bit for bit.
+EmbedResult reference_embed(const PlaneTopology& topo,
+                            const CostDistanceInstance& instance) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const Graph& g = *instance.graph;
+  const std::size_t n = g.num_vertices();
+  const std::size_t nn = topo.nodes.size();
+  const auto ch = topo.children();
+  std::vector<double> subw(nn, 0.0);
+  for (std::size_t i = nn; i-- > 0;) {
+    if (topo.nodes[i].sink_index >= 0) {
+      subw[i] +=
+          instance.sinks[static_cast<std::size_t>(topo.nodes[i].sink_index)]
+              .weight;
+    }
+    if (topo.nodes[i].parent >= 0) {
+      subw[static_cast<std::size_t>(topo.nodes[i].parent)] += subw[i];
+    }
+  }
+  std::vector<DijkstraResult> up(nn);
+  double root_value = kInf;
+  for (std::size_t i = nn; i-- > 0;) {
+    std::vector<double> fi;
+    if (ch[i].empty()) {
+      fi.assign(n, kInf);
+    } else {
+      fi.assign(n, 0.0);
+      for (const std::int32_t cc : ch[i]) {
+        const std::vector<double>& gu = up[static_cast<std::size_t>(cc)].dist;
+        for (std::size_t v = 0; v < n; ++v) fi[v] += gu[v];
+      }
+    }
+    const std::int32_t si = topo.nodes[i].sink_index;
+    if (si >= 0) {
+      const VertexId pin = instance.sinks[static_cast<std::size_t>(si)].vertex;
+      const double at_pin = ch[i].empty() ? 0.0 : fi[pin];
+      fi.assign(n, kInf);
+      fi[pin] = at_pin;
+    }
+    if (i == 0) {
+      root_value = ch[i].empty() ? kInf : fi[instance.root];
+      break;
+    }
+    const CostDelayLength metric =
+        instance.arc_costs != nullptr
+            ? CostDelayLength(*instance.arc_costs, subw[i])
+            : CostDelayLength{*instance.cost, *instance.delay, subw[i]};
+    up[i] = dijkstra_from_potentials(g, fi, metric);
+  }
+  CDST_CHECK(root_value < kInf);
+
+  TreeAssembler assembler(g);
+  std::vector<TreeAssembler::NodeId> anode(nn, TreeAssembler::kNoNode);
+  std::vector<VertexId> placed(nn, kInvalidVertex);
+  placed[0] = instance.root;
+  anode[0] = assembler.add_root(instance.root);
+  for (std::size_t i = 1; i < nn; ++i) {
+    const auto p = static_cast<std::size_t>(topo.nodes[i].parent);
+    const DijkstraResult& r = up[i];
+    VertexId at = placed[p];
+    CDST_CHECK(r.reached(at));
+    std::vector<EdgeId> path_up;
+    while (r.parent_edge[at] != kInvalidEdge) {
+      path_up.push_back(r.parent_edge[at]);
+      at = r.parent[at];
+    }
+    std::reverse(path_up.begin(), path_up.end());
+    placed[i] = at;
+    const std::int32_t si = topo.nodes[i].sink_index;
+    anode[i] = (si >= 0) ? assembler.add_sink(at, si) : assembler.add_steiner(at);
+    assembler.add_segment(anode[i], anode[p], path_up);
+  }
+  EmbedResult out;
+  out.tree = assembler.finalize();
+  out.eval = evaluate_tree(out.tree, instance);
+  return out;
+}
+
+void expect_same_embedding(const EmbedResult& got, const EmbedResult& want,
+                           const std::string& what) {
+  SCOPED_TRACE(what);
+  ASSERT_EQ(got.tree.nodes.size(), want.tree.nodes.size());
+  for (std::size_t k = 0; k < got.tree.nodes.size(); ++k) {
+    const SteinerTree::Node& a = got.tree.nodes[k];
+    const SteinerTree::Node& b = want.tree.nodes[k];
+    EXPECT_EQ(a.graph_vertex, b.graph_vertex) << "placement of node " << k;
+    EXPECT_EQ(a.parent, b.parent) << "node " << k;
+    EXPECT_EQ(a.sink_index, b.sink_index) << "node " << k;
+    EXPECT_EQ(a.kind, b.kind) << "node " << k;
+    EXPECT_EQ(a.up_path, b.up_path) << "node " << k;
+  }
+  EXPECT_EQ(got.tree.all_edges(), want.tree.all_edges());
+  EXPECT_EQ(bits(got.eval.connection_cost), bits(want.eval.connection_cost));
+  EXPECT_EQ(bits(got.eval.weighted_delay), bits(want.eval.weighted_delay));
+  EXPECT_EQ(bits(got.eval.objective), bits(want.eval.objective));
+  EXPECT_EQ(bits(got.eval.total_delay_penalty),
+            bits(want.eval.total_delay_penalty));
+  EXPECT_EQ(got.eval.sink_delays, want.eval.sink_delays);
+  EXPECT_EQ(got.eval.node_lambda, want.eval.node_lambda);
+  EXPECT_EQ(got.eval.num_graph_edges, want.eval.num_graph_edges);
+}
+
+/// root -> Steiner a -> {Steiner b -> {sink 0 -> {sink 1, Steiner c ->
+/// {sink 2, sink 3}}, sink 4}, sink 5}: a Steiner child of the root, a
+/// Steiner under a Steiner, and a sink with both a sink and a Steiner
+/// child, so every pinned/floating parent-child pairing occurs.
+PlaneTopology mixed_topology(const GridInstance& gi) {
+  PlaneTopology t;
+  const auto add = [&](std::int32_t parent, std::int32_t sink) {
+    const Point2 pos = sink >= 0
+                           ? gi.plane_sinks[static_cast<std::size_t>(sink)].pos
+                           : gi.root_xy;
+    t.nodes.push_back(PlaneTopology::Node{pos, parent, sink});
+    return static_cast<std::int32_t>(t.nodes.size() - 1);
+  };
+  add(-1, -1);
+  const std::int32_t a = add(0, -1);
+  const std::int32_t b = add(a, -1);
+  const std::int32_t s0 = add(b, 0);
+  add(s0, 1);
+  const std::int32_t c = add(s0, -1);
+  add(c, 2);
+  add(c, 3);
+  add(b, 4);
+  add(a, 5);
+  return t;
+}
+
+TEST_P(EmbedSeeds, BoundedDpMatchesFullPropagation) {
+  const std::uint64_t seed = GetParam();
+  for (const bool unit : {true, false}) {
+    for (const double dbif : {0.0, 2.5}) {
+      GridInstance gi = make_instance(seed * 131 + 5, 9, 9, 3, 6, dbif, unit);
+      const ArcCostView plane(*gi.inst.graph, gi.cost, gi.delay);
+      const std::string base = std::string(unit ? "unit" : "random") +
+                               " metric, dbif " + std::to_string(dbif);
+
+      std::vector<std::pair<std::string, PlaneTopology>> topos;
+      topos.emplace_back("rsmt", rsmt_topology(gi.root_xy, gi.plane_sinks));
+      ShallowLightParams sl;
+      sl.dbif = dbif;
+      topos.emplace_back(
+          "shallow-light",
+          shallow_light_topology(gi.root_xy, gi.plane_sinks, sl));
+      PrimDijkstraParams pd;
+      pd.dbif = dbif;
+      topos.emplace_back(
+          "prim-dijkstra",
+          prim_dijkstra_topology(gi.root_xy, gi.plane_sinks, pd));
+      topos.emplace_back("star", star_topology(gi.root_xy, gi.plane_sinks));
+      topos.emplace_back("mixed", mixed_topology(gi));
+
+      for (const bool with_plane : {false, true}) {
+        gi.inst.arc_costs = with_plane ? &plane : nullptr;
+        const std::string what =
+            base + (with_plane ? ", arc plane" : ", per-edge");
+        for (const auto& [name, topo] : topos) {
+          expect_same_embedding(embed_topology(topo, gi.inst),
+                                reference_embed(topo, gi.inst),
+                                what + ", " + name);
+        }
+      }
+    }
+  }
+}
+
+TEST_P(EmbedSeeds, BoundedDpMatchesFullPropagationOnAllBinaryTopologies) {
+  for (const bool unit : {true, false}) {
+    for (const double dbif : {0.0, 3.0}) {
+      GridInstance gi =
+          make_instance(GetParam() * 37 + 11, 6, 6, 3, 4, dbif, unit);
+      const ArcCostView plane(*gi.inst.graph, gi.cost, gi.delay);
+      gi.inst.arc_costs = GetParam() % 2 == 0 ? &plane : nullptr;
+      const std::vector<PlaneTopology> topos = enumerate_binary_topologies(4);
+      for (std::size_t k = 0; k < topos.size(); ++k) {
+        expect_same_embedding(
+            embed_topology(topos[k], gi.inst),
+            reference_embed(topos[k], gi.inst),
+            std::string(unit ? "unit" : "random") + " metric, dbif " +
+                std::to_string(dbif) + ", topology " + std::to_string(k));
+      }
+    }
+  }
+}
+
+TEST(Embed, CancellationUnwindsBeforeAnyPropagation) {
+  // The flag is polled up front and before every node's propagation,
+  // bounded or full; a raised flag unwinds with SolveCancelled, a clear one
+  // leaves the result untouched.
+  const GridInstance gi = make_instance(9, 8, 8, 3, 6);
+  const PlaneTopology topo = mixed_topology(gi);
+  std::atomic<bool> cancel{false};
+  SolveControls controls;
+  controls.cancel = &cancel;
+  expect_same_embedding(embed_topology(topo, gi.inst, &controls),
+                        reference_embed(topo, gi.inst), "flag clear");
+  cancel.store(true);
+  EXPECT_THROW(embed_topology(topo, gi.inst, &controls), SolveCancelled);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EmbedSeeds,

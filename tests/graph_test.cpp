@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "graph/arc_cost_view.h"
 #include "graph/dijkstra.h"
 #include "graph/graph.h"
 #include "graph/landmarks.h"
@@ -151,6 +158,120 @@ TEST_P(RandomGraphTest, LandmarkBoundsAreAdmissibleAndUseful) {
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     EXPECT_NEAR(lm.lower_bound(l0, v), r0.dist[v], 1e-9);
   }
+}
+
+/// The parent chain from v back to its seed, as (edge, vertex) steps.
+std::vector<std::pair<EdgeId, VertexId>> parent_chain(const DijkstraResult& r,
+                                                      VertexId v) {
+  std::vector<std::pair<EdgeId, VertexId>> out;
+  while (r.parent_edge[v] != kInvalidEdge) {
+    out.emplace_back(r.parent_edge[v], r.parent[v]);
+    v = r.parent[v];
+  }
+  return out;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// The target contract: a search stopped at t reports the untargeted run's
+/// dist[t] and parent chain bit for bit, both as a one-shot call and through
+/// one reused heap + label set whose dists are reset via `labelled`.
+template <typename LengthFn>
+void expect_settled_prefix_is_final(
+    const Graph& g, const std::vector<std::pair<VertexId, double>>& seeds,
+    const LengthFn& length, const std::string& what) {
+  SCOPED_TRACE(what);
+  const std::size_t n = g.num_vertices();
+  const DijkstraResult full = dijkstra_with_initial_labels(g, seeds, length);
+  DijkstraResult ws;
+  ws.dist.assign(n, DijkstraResult::kInf);
+  ws.parent_edge.assign(n, kInvalidEdge);
+  ws.parent.assign(n, kInvalidVertex);
+  BinaryHeap<double> heap;
+  std::vector<VertexId> labelled;
+  for (VertexId t = 0; t < n; ++t) {
+    const DijkstraResult once =
+        dijkstra_with_initial_labels(g, seeds, length, t);
+    EXPECT_EQ(bits(once.dist[t]), bits(full.dist[t])) << "target " << t;
+    EXPECT_EQ(parent_chain(once, t), parent_chain(full, t)) << "target " << t;
+
+    dijkstra_search(g, seeds, length, t, ws, heap, &labelled);
+    EXPECT_TRUE(heap.empty());
+    EXPECT_EQ(bits(ws.dist[t]), bits(full.dist[t])) << "target " << t;
+    EXPECT_EQ(parent_chain(ws, t), parent_chain(full, t)) << "target " << t;
+    // `labelled` lists exactly the vertices this search reached, once each.
+    std::vector<VertexId> sorted = labelled;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
+    std::size_t reached = 0;
+    for (VertexId v = 0; v < n; ++v) reached += ws.reached(v) ? 1 : 0;
+    EXPECT_EQ(reached, labelled.size()) << "target " << t;
+    // Only dist needs a reset: the next search rewrites the parent entries
+    // of every vertex it labels.
+    for (const VertexId v : labelled) ws.dist[v] = DijkstraResult::kInf;
+    labelled.clear();
+  }
+}
+
+/// Runs the contract for one graph under every length-functor form: a bare
+/// per-edge ArrayLength and CostDelayLength, and both again scanning an
+/// attached arc plane (the blocked SIMD relax).
+void expect_contract_for_all_lengths(
+    const Graph& g, const std::vector<double>& cost,
+    const std::vector<double>& delay,
+    const std::vector<std::pair<VertexId, double>>& seeds,
+    const std::string& what) {
+  const ArcCostView plane(g, cost, delay);
+  const double w = 0.75;
+  expect_settled_prefix_is_final(g, seeds, ArrayLength(cost),
+                                 what + ", ArrayLength");
+  expect_settled_prefix_is_final(g, seeds, ArrayLength(plane),
+                                 what + ", ArrayLength + arc plane");
+  expect_settled_prefix_is_final(g, seeds, CostDelayLength{cost, delay, w},
+                                 what + ", CostDelayLength");
+  expect_settled_prefix_is_final(g, seeds, CostDelayLength(plane, w),
+                                 what + ", CostDelayLength + arc plane");
+}
+
+TEST_P(RandomGraphTest, TargetedSearchSettledPrefixIsFinal) {
+  Rng rng(GetParam() * 7 + 3);
+
+  // Tie-heavy: a uniform-length grid graph, integer potentials.
+  const std::size_t side = 9;
+  GraphBuilder b(side * side);
+  for (std::size_t y = 0; y < side; ++y) {
+    for (std::size_t x = 0; x < side; ++x) {
+      const auto v = static_cast<VertexId>(y * side + x);
+      if (x + 1 < side) b.add_edge(v, v + 1);
+      if (y + 1 < side) b.add_edge(v, static_cast<VertexId>(v + side));
+    }
+  }
+  const Graph grid(b);
+  const std::vector<double> ones(grid.num_edges(), 1.0);
+  std::vector<std::pair<VertexId, double>> single{
+      {static_cast<VertexId>(rng.uniform(grid.num_vertices())), 0.0}};
+  std::vector<std::pair<VertexId, double>> potentials;
+  for (VertexId v = 0; v < grid.num_vertices(); ++v) {
+    potentials.emplace_back(v, static_cast<double>(rng.uniform(4)));
+  }
+  expect_contract_for_all_lengths(grid, ones, ones, single,
+                                  "uniform grid, single seed");
+  expect_contract_for_all_lengths(grid, ones, ones, potentials,
+                                  "uniform grid, all-finite potentials");
+
+  // Random lengths on a graph dense enough for full 8-arc relax strips.
+  const auto [g, len] = make(40, 200);
+  std::vector<double> delay(g.num_edges());
+  for (double& x : delay) x = rng.uniform_double(0.0, 3.0);
+  single = {{static_cast<VertexId>(rng.uniform(g.num_vertices())), 0.0}};
+  potentials.clear();
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    potentials.emplace_back(v, rng.uniform_double(0.0, 20.0));
+  }
+  expect_contract_for_all_lengths(g, len, delay, single,
+                                  "random lengths, single seed");
+  expect_contract_for_all_lengths(g, len, delay, potentials,
+                                  "random lengths, all-finite potentials");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomGraphTest,
