@@ -1,7 +1,7 @@
 // Microbenchmark for the router's round disciplines: the legacy batched
 // rip-up & re-route loop (shards = 0) against spatially sharded rounds
 // (shards >= 1, route/sharding.h), plus the L1/SL/PD baselines' embedding
-// DP in batched rounds. Sharded rounds freeze the price plane
+// DP in batched rounds and the per-net window build (BM_Router_Window). Sharded rounds freeze the price plane
 // once per round — windows gather prices instead of exponentiating per
 // edge — and fan shards out across the worker pool, so they win twice:
 // less work per net even single-threaded, and chunk-parallel scaling with
@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,6 +21,8 @@
 #include "api/cdst.h"
 #include "dist/transport.h"
 #include "route/netlist_gen.h"
+#include "route/steiner_oracle.h"
+#include "util/sparse_map.h"
 
 #if defined(CDST_SHARD_WORKER_PATH)
 #include "dist/subprocess_transport.h"
@@ -115,6 +118,57 @@ BENCHMARK(BM_Router_Embedded)
     ->Arg(1)
     ->Arg(2)
     ->Unit(benchmark::kMillisecond);
+
+/// The window-materialization layer: builds the routing window (through
+/// OracleInstance, the unit a router round builds per net) of every net of
+/// the BM_Router_Sharded fixture, priced from the frozen snapshot of the
+/// state after one sharded round, each net's own committed usage excluded.
+/// Single-threaded; the snapshot and exclusion maps are built untimed.
+void BM_Router_Window(benchmark::State& state) {
+  const Fixture& f = fixture();
+  const RouterOptions opts = options_for(4);
+  const RouterResult routed = route_rounds(/*shards=*/4, /*rounds=*/1);
+  CongestionCosts costs(f.grid, opts.congestion);
+  for (const std::vector<EdgeId>& r : routed.routes) {
+    if (!r.empty()) costs.add_usage(r, +1.0);
+  }
+  const std::vector<double> snapshot = costs.edge_cost_vector();
+  const std::size_t num_nets = f.netlist.nets.size();
+  std::vector<SparseMap<double>> excluded(num_nets);
+  std::vector<std::size_t> sink_offset(num_nets + 1, 0);
+  for (std::size_t i = 0; i < num_nets; ++i) {
+    for (const EdgeId ge : routed.routes[i]) {
+      const RoutingGrid::EdgeInfo& info = f.grid.edge_info(ge);
+      excluded[i][info.resource] += info.width;
+    }
+    sink_offset[i + 1] = sink_offset[i] + f.netlist.nets[i].sinks.size();
+  }
+
+  std::size_t windows = 0, arcs = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < num_nets; ++i) {
+      const Net& net = f.netlist.nets[i];
+      if (net.sinks.empty()) continue;
+      const RoundPricing pricing{
+          snapshot, routed.routes[i].empty() ? nullptr : &excluded[i]};
+      const OracleInstance oi(
+          f.grid, costs, net,
+          std::span<const double>(routed.sink_weights.data() + sink_offset[i],
+                                  net.sinks.size()),
+          opts.oracle, &pricing);
+      benchmark::DoNotOptimize(oi.window().arc_costs().arc_cost_data());
+      benchmark::ClobberMemory();
+      ++windows;
+      arcs += oi.window().graph().num_arcs();
+    }
+  }
+  state.counters["windows"] = benchmark::Counter(
+      static_cast<double>(windows), benchmark::Counter::kIsRate);
+  state.counters["arcs_per_window"] =
+      windows == 0 ? 0.0
+                   : static_cast<double>(arcs) / static_cast<double>(windows);
+}
+BENCHMARK(BM_Router_Window)->Unit(benchmark::kMillisecond);
 
 /// Sharded rounds across the transport tiers (dist/transport.h): arg 0 runs
 /// the rounds directly, 1 through the InProcessTransport serialization

@@ -1,24 +1,34 @@
 #include "graph/arc_cost_view.h"
 
 #include <cstdint>
+#include <utility>
 
 #include "util/assert.h"
 #include "util/fault_injection.h"
 
 namespace cdst {
 
+ArcCostView::Strips::Strips(std::size_t num_arcs)
+    : cost(num_arcs + kRelaxStrip),
+      delay(num_arcs + kRelaxStrip),
+      layer(num_arcs) {}
+
+void ArcCostView::bind(const Graph& g, std::span<const double> edge_cost,
+                       std::span<const double> edge_delay) {
+  // Every plane (re)build passes here, which is where a real allocation
+  // failure would surface during window/instance materialization.
+  CDST_FAULT_POINT("arcplane.assign");
+  CDST_CHECK(edge_cost.size() == g.num_edges());
+  CDST_CHECK(edge_delay.size() == g.num_edges());
+  graph_ = &g;
+}
+
 void ArcCostView::build_arcs(const Graph& g,
                              std::span<const double> edge_cost,
                              std::span<const double> edge_delay,
                              std::span<const std::uint8_t> edge_layer) {
-  // Shared allocation core of assign()/assign_borrowed(): the SoA arc
-  // planes are (re)built here, which is where a real allocation failure
-  // would surface during window/instance materialization.
-  CDST_FAULT_POINT("arcplane.assign");
-  CDST_CHECK(edge_cost.size() == g.num_edges());
-  CDST_CHECK(edge_delay.size() == g.num_edges());
+  bind(g, edge_cost, edge_delay);
   CDST_CHECK(edge_layer.empty() || edge_layer.size() == g.num_edges());
-  graph_ = &g;
 
   const std::span<const EdgeId> arc_edges = g.arc_edges();
   const std::size_t na = arc_edges.size();
@@ -69,6 +79,27 @@ void ArcCostView::assign_borrowed(const Graph& g,
                                   std::span<const double> edge_delay,
                                   std::span<const std::uint8_t> edge_layer) {
   build_arcs(g, edge_cost, edge_delay, edge_layer);
+  edge_cost_store_.clear();
+  edge_delay_store_.clear();
+  edge_cost_view_ = edge_cost;
+  edge_delay_view_ = edge_delay;
+}
+
+void ArcCostView::adopt(const Graph& g, Strips strips,
+                        std::span<const double> edge_cost,
+                        std::span<const double> edge_delay) {
+  bind(g, edge_cost, edge_delay);
+  const std::size_t na = g.num_arcs();
+  CDST_CHECK(strips.cost.size() == na + kRelaxStrip);
+  CDST_CHECK(strips.delay.size() == na + kRelaxStrip);
+  CDST_CHECK(strips.layer.size() == na);
+  for (std::size_t a = na; a < na + kRelaxStrip; ++a) {
+    CDST_ASSERT(strips.cost[a] == 0.0 && strips.delay[a] == 0.0);
+  }
+  num_arcs_ = na;
+  arc_cost_ = std::move(strips.cost);
+  arc_delay_ = std::move(strips.delay);
+  arc_layer_ = std::move(strips.layer);
   edge_cost_store_.clear();
   edge_delay_store_.clear();
   edge_cost_view_ = edge_cost;

@@ -22,14 +22,18 @@
 /// derived per-arc arrays. The per-edge inputs are copied by assign() (the
 /// safe default for callers whose source arrays may die first) or borrowed
 /// by assign_borrowed() — the right mode for producers whose source
-/// vectors share the view's lifetime (RoutingGrid's base plane,
-/// RoutingWindow's priced plane: a heap-allocated vector's buffer survives
-/// moves of the owner, so the borrowed spans stay valid). Producers:
-/// RoutingGrid finalizes a base-cost plane with its graph; RoutingWindow
-/// builds one per window over current congestion prices; the sharded
-/// router rebuilds a window plane per round from the frozen price
-/// snapshot. assign() retains capacity, so per-round rebuilds stop
-/// churning the allocator.
+/// vectors share the view's lifetime (RoutingGrid's base plane: a
+/// heap-allocated vector's buffer survives moves of the owner, so the
+/// borrowed spans stay valid). Both gather the strips from the per-edge
+/// arrays through the graph's arc_edges().
+///
+/// A producer that knows its arc order in closed form skips that gather:
+/// RoutingWindow writes its priced per-arc strips in the same pass that
+/// stamps its CSR, into a Strips allocated at the exact size, and hands
+/// them over with adopt() (per-edge arrays borrowed, as in
+/// assign_borrowed()). Producers: RoutingGrid finalizes a base-cost plane
+/// with its graph; every RoutingWindow (one per net per round, priced live
+/// or from the sharded router's frozen round snapshot) adopts its own.
 
 #pragma once
 
@@ -65,6 +69,24 @@ class ArcCostView {
                        std::span<const double> edge_delay,
                        std::span<const std::uint8_t> edge_layer = {});
 
+  /// Per-arc strips written by a producer that derives arc order itself:
+  /// cost/delay hold num_arcs values plus kRelaxStrip zeros of pad, layer
+  /// holds num_arcs values. The constructor allocates them at that exact
+  /// size with the pad already zero; the producer overwrites the first
+  /// num_arcs entries.
+  struct Strips {
+    explicit Strips(std::size_t num_arcs);
+    AlignedVector<double> cost;
+    AlignedVector<double> delay;
+    std::vector<std::uint8_t> layer;
+  };
+
+  /// Adopts pre-built strips over g (sizes checked against g) and borrows
+  /// the per-edge cost/delay arrays, as assign_borrowed() does.
+  void adopt(const Graph& g, Strips strips,
+             std::span<const double> edge_cost,
+             std::span<const double> edge_delay);
+
   bool empty() const { return graph_ == nullptr; }
   const Graph* graph() const { return graph_; }
 
@@ -91,6 +113,10 @@ class ArcCostView {
   void build_arcs(const Graph& g, std::span<const double> edge_cost,
                   std::span<const double> edge_delay,
                   std::span<const std::uint8_t> edge_layer);
+  /// Common entry of every (re)build: the fault site, the per-edge size
+  /// checks and the graph binding.
+  void bind(const Graph& g, std::span<const double> edge_cost,
+            std::span<const double> edge_delay);
 
   const Graph* graph_{nullptr};
   std::size_t num_arcs_{0};  ///< logical strip length (pad lives beyond it)

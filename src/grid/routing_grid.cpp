@@ -34,6 +34,18 @@ void RoutingGrid::build() {
     return static_cast<ResourceId>(resource_capacity_.size() - 1);
   };
 
+  // The edge-id layout wire_edge()/via_edge() decode: each layer's wire
+  // edges in turn, then the vias.
+  edge_base_.assign(layers_.size() + 1, 0);
+  for (std::size_t z = 0; z < layers_.size(); ++z) {
+    const bool horizontal = layers_[z].dir == LayerDir::kHorizontal;
+    const std::size_t segments =
+        static_cast<std::size_t>(horizontal ? nx_ - 1 : nx_) *
+        static_cast<std::size_t>(horizontal ? ny_ : ny_ - 1);
+    edge_base_[z + 1] =
+        edge_base_[z] + segments * layers_[z].wire_types.size();
+  }
+
   // Intra-layer wiring edges.
   for (std::int32_t z = 0; z < nz; ++z) {
     const LayerSpec& layer = layers_[z];
@@ -54,6 +66,7 @@ void RoutingGrid::build() {
           const WireType& wt = layer.wire_types[w];
           const EdgeId e = builder.add_edge(a, b);
           CDST_ASSERT(static_cast<std::size_t>(e) == edge_info_.size());
+          CDST_ASSERT(e == wire_edge(x, y, z, w));
           (void)e;
           edge_info_.push_back(EdgeInfo{res, static_cast<float>(wt.width),
                                         static_cast<float>(wt.unit_cost),
@@ -77,6 +90,7 @@ void RoutingGrid::build() {
         const ResourceId res = new_resource(cap);
         const EdgeId e = builder.add_edge(a, b);
         CDST_ASSERT(static_cast<std::size_t>(e) == edge_info_.size());
+        CDST_ASSERT(e == via_edge(x, y, z));
         (void)e;
         edge_info_.push_back(EdgeInfo{res, static_cast<float>(via_.width),
                                       static_cast<float>(via_.unit_cost),

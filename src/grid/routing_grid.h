@@ -70,6 +70,36 @@ class RoutingGrid {
   /// decode of position() in bound-evaluation hot loops).
   const std::vector<Point3>& positions() const { return positions_; }
 
+  /// Closed-form edge-id layout, the one build() emits: first the wire
+  /// edges of each layer in turn — segments row-major by their lower gcell,
+  /// the layer's wire types consecutive within a segment — then every via,
+  /// layer-major and row-major by its lower gcell.
+  ///
+  /// The wire edge of type `w` from (x, y, z) to the next gcell along
+  /// layer z's preferred direction.
+  EdgeId wire_edge(std::int32_t x, std::int32_t y, std::int32_t z,
+                   std::size_t w) const {
+    const LayerSpec& l = layers_[static_cast<std::size_t>(z)];
+    const bool horizontal = l.dir == LayerDir::kHorizontal;
+    CDST_ASSERT(x >= 0 && x < (horizontal ? nx_ - 1 : nx_) && y >= 0 &&
+                y < (horizontal ? ny_ : ny_ - 1) && w < l.wire_types.size());
+    const std::size_t row = static_cast<std::size_t>(horizontal ? nx_ - 1
+                                                                : nx_);
+    return static_cast<EdgeId>(
+        edge_base_[static_cast<std::size_t>(z)] +
+        (static_cast<std::size_t>(y) * row + static_cast<std::size_t>(x)) *
+            l.wire_types.size() +
+        w);
+  }
+  /// The via edge from (x, y, z) to (x, y, z + 1).
+  EdgeId via_edge(std::int32_t x, std::int32_t y, std::int32_t z) const {
+    CDST_ASSERT(x >= 0 && x < nx_ && y >= 0 && y < ny_ && z >= 0 &&
+                z + 1 < nz());
+    return static_cast<EdgeId>(edge_base_.back() +
+                               (static_cast<std::size_t>(z) * ny_ + y) * nx_ +
+                               x);
+  }
+
   const EdgeInfo& edge_info(EdgeId e) const {
     CDST_ASSERT(e < edge_info_.size());
     return edge_info_[e];
@@ -111,6 +141,9 @@ class RoutingGrid {
   std::vector<LayerSpec> layers_;
   ViaSpec via_;
 
+  /// First edge id of each layer's wire edges; the last entry is the first
+  /// via id (see wire_edge()/via_edge()).
+  std::vector<std::size_t> edge_base_;
   Graph graph_;
   ArcCostView arc_costs_;
   std::vector<Point3> positions_;

@@ -39,6 +39,15 @@ class RoutingWindow {
   /// grid), all layers included, with current congestion prices as costs.
   /// `pricing` (optional) prices from a frozen round snapshot instead of the
   /// live CongestionCosts state — see RoundPricing.
+  ///
+  /// The subgraph is stamped in closed form from the box and the layer
+  /// stack (RoutingGrid::wire_edge()/via_edge()), into exact-size arrays.
+  /// Window vertices are numbered layer-major, then row-major within the
+  /// box. Window edges are numbered by ascending tail (the lower endpoint);
+  /// a vertex's own edges are its wire types' edges to the next gcell along
+  /// the layer's direction, then its via up. The arcs of a vertex follow
+  /// edge-id order: via below, wire types to the previous gcell, wire types
+  /// to the next gcell, via above.
   RoutingWindow(const RoutingGrid& grid, const CongestionCosts& costs,
                 Rect box, const RoundPricing* pricing = nullptr);
 
@@ -55,7 +64,9 @@ class RoutingWindow {
   /// (what the solver's blocked relax loop scans).
   const ArcCostView& arc_costs() const { return arc_costs_; }
 
-  VertexId to_grid_vertex(VertexId wv) const { return to_grid_vertex_[wv]; }
+  VertexId to_grid_vertex(VertexId wv) const {
+    return grid_->vertex_at(positions_[wv]);
+  }
   EdgeId to_grid_edge(EdgeId we) const { return to_grid_edge_[we]; }
 
   /// Dense per-window-vertex positions in grid coordinates (the SoA
@@ -73,7 +84,6 @@ class RoutingWindow {
   Rect box_;
   Graph graph_;
   ArcCostView arc_costs_;
-  std::vector<VertexId> to_grid_vertex_;
   std::vector<Point3> positions_;
   std::vector<EdgeId> to_grid_edge_;
   std::vector<double> costs_;
@@ -87,19 +97,17 @@ class WindowFutureCost final : public FutureCostOracle {
  public:
   explicit WindowFutureCost(const RoutingWindow& w) : w_(&w) {}
 
-  Point2 xy(VertexId v) const override {
-    return w_->grid().position(w_->to_grid_vertex(v)).xy();
-  }
+  Point2 xy(VertexId v) const override { return w_->positions()[v].xy(); }
   double cost_lb(VertexId a, VertexId b) const override {
-    const Point3 pa = w_->grid().position(w_->to_grid_vertex(a));
-    const Point3 pb = w_->grid().position(w_->to_grid_vertex(b));
+    const Point3 pa = w_->positions()[a];
+    const Point3 pb = w_->positions()[b];
     return static_cast<double>(l1_distance(pa, pb)) *
                w_->grid().min_unit_cost() +
            std::abs(pa.z - pb.z) * w_->grid().min_via_cost();
   }
   double delay_lb(VertexId a, VertexId b) const override {
-    const Point3 pa = w_->grid().position(w_->to_grid_vertex(a));
-    const Point3 pb = w_->grid().position(w_->to_grid_vertex(b));
+    const Point3 pa = w_->positions()[a];
+    const Point3 pb = w_->positions()[b];
     return static_cast<double>(l1_distance(pa, pb)) *
                w_->grid().min_unit_delay() +
            std::abs(pa.z - pb.z) * w_->grid().min_via_delay();

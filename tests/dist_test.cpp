@@ -422,6 +422,38 @@ TEST(DistSubprocessTest, WorkerMatrixBitIdenticalToDirect) {
   expect_same_routing(oneShard.result(), want);
 }
 
+// Workers rebuild every window through the same RoutingWindow constructor as
+// the in-process round. This chip stresses the stamped layout: layers with
+// one and with two wire types in both directions, a non-square grid, and
+// windows wide enough to clip at every grid border. Three rounds put
+// committed routes under the frozen pricing, so windows also re-price with
+// the net's own usage excluded.
+TEST(DistSubprocessTest, StampedWindowsBitIdenticalAcrossProcesses) {
+  ChipConfig c = dist_chip();
+  c.num_layers = 5;
+  c.nx = 15;
+  c.ny = 10;
+  const RoutingGrid grid = make_chip_grid(c);
+  const Netlist nl = generate_netlist(c, grid);
+  RouterOptions opts = dist_router_options();
+  opts.oracle.dbif = 1.0;
+  opts.oracle.window_margin = 8;
+
+  Router direct(grid, nl, opts);
+  ASSERT_TRUE(direct.run(3).ok());
+  const RouterResult want = direct.result();
+
+  dist::SubprocessTransportOptions sopts;
+  sopts.worker_path = CDST_SHARD_WORKER_PATH;
+  sopts.workers = 2;
+  dist::SubprocessTransport transport(sopts);
+  RouterOptions topts = opts;
+  topts.transport = &transport;
+  Router session(grid, nl, topts);
+  ASSERT_TRUE(session.run(3).ok());
+  expect_same_routing(session.result(), want);
+}
+
 /// Kills the worker pool once, from the first shard event of the run — i.e.
 /// mid-round, while later shards still have dispatches to make.
 struct KillOnFirstShard final : EventSink {

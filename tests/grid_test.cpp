@@ -3,12 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "graph/dijkstra.h"
 #include "grid/cost_model.h"
 #include "grid/future_cost.h"
 #include "grid/routing_grid.h"
 #include "grid/window.h"
 #include "util/rng.h"
+#include "util/sparse_map.h"
 
 namespace cdst {
 namespace {
@@ -199,6 +207,260 @@ TEST(Window, PricesReflectCongestion) {
     }
   }
   EXPECT_TRUE(found_expensive);
+}
+
+// ------------------------------------------- stamped window vs. reference
+
+/// The generic window build: a GraphBuilder sweep over the grid's arcs,
+/// CSR finalization, then an ArcCostView gather. RoutingWindow stamps the
+/// same subgraph in closed form; this is the reference it must reproduce
+/// bit for bit.
+struct ReferenceWindow {
+  Graph graph;
+  std::vector<VertexId> to_grid_vertex;
+  std::vector<Point3> positions;
+  std::vector<EdgeId> to_grid_edge;
+  std::vector<double> costs;
+  std::vector<double> delays;
+  ArcCostView arc_costs;
+};
+
+std::unique_ptr<ReferenceWindow> reference_window(
+    const RoutingGrid& grid, const CongestionCosts& costs, Rect box,
+    const RoundPricing* pricing) {
+  box.xlo = std::max(box.xlo, 0);
+  box.ylo = std::max(box.ylo, 0);
+  box.xhi = std::min(box.xhi, grid.nx() - 1);
+  box.yhi = std::min(box.yhi, grid.ny() - 1);
+  const auto wx = static_cast<std::int32_t>(box.width()) + 1;
+  const auto wy = static_cast<std::int32_t>(box.height()) + 1;
+  const std::size_t wn = static_cast<std::size_t>(wx) * wy * grid.nz();
+  auto ref = std::make_unique<ReferenceWindow>();
+  ref->to_grid_vertex.resize(wn);
+  ref->positions.resize(wn);
+  const auto wvertex = [&](std::int32_t x, std::int32_t y, std::int32_t z) {
+    return static_cast<VertexId>(
+        (static_cast<std::int64_t>(z) * wy + (y - box.ylo)) * wx +
+        (x - box.xlo));
+  };
+  for (std::int32_t z = 0; z < grid.nz(); ++z) {
+    for (std::int32_t y = box.ylo; y <= box.yhi; ++y) {
+      for (std::int32_t x = box.xlo; x <= box.xhi; ++x) {
+        ref->to_grid_vertex[wvertex(x, y, z)] = grid.vertex_at(x, y, z);
+        ref->positions[wvertex(x, y, z)] = Point3{x, y, z};
+      }
+    }
+  }
+  // Each in-box grid edge once, from its lower endpoint, in grid arc order.
+  GraphBuilder builder(wn);
+  for (VertexId wv = 0; wv < wn; ++wv) {
+    const VertexId gv = ref->to_grid_vertex[wv];
+    for (const Graph::Arc& a : grid.graph().arcs(gv)) {
+      if (a.to < gv) continue;
+      const Point3 pu = grid.position(a.to);
+      if (!box.contains(pu.xy())) continue;
+      builder.add_edge(wv, wvertex(pu.x, pu.y, pu.z));
+      ref->to_grid_edge.push_back(a.edge);
+    }
+  }
+  ref->graph = Graph(builder);
+  const std::size_t wm = ref->to_grid_edge.size();
+  std::vector<std::uint8_t> layer_of(wm);
+  for (std::size_t e = 0; e < wm; ++e) {
+    const EdgeId ge = ref->to_grid_edge[e];
+    double cost = costs.edge_cost(ge);
+    if (pricing != nullptr) {
+      const double* excluded =
+          pricing->excluded_usage != nullptr
+              ? pricing->excluded_usage->find(grid.edge_info(ge).resource)
+              : nullptr;
+      cost = excluded == nullptr ? pricing->edge_costs[ge]
+                                 : costs.edge_cost_excluding(ge, *excluded);
+    }
+    ref->costs.push_back(cost);
+    ref->delays.push_back(grid.edge_delays()[ge]);
+    layer_of[e] = grid.edge_info(ge).layer;
+  }
+  ref->arc_costs.assign(ref->graph, ref->costs, ref->delays, layer_of);
+  return ref;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Element-wise bit equality; `what` names the array in failure messages.
+void expect_same_bits(std::span<const double> got,
+                      std::span<const double> want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(bits(got[i]), bits(want[i])) << what << "[" << i << "]";
+  }
+}
+
+void expect_matches_reference(const RoutingWindow& w,
+                              const ReferenceWindow& ref) {
+  const Graph& g = w.graph();
+  const Graph& rg = ref.graph;
+  ASSERT_EQ(g.num_vertices(), rg.num_vertices());
+  ASSERT_EQ(g.num_edges(), rg.num_edges());
+  ASSERT_EQ(g.num_arcs(), rg.num_arcs());
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    ASSERT_EQ(g.tail(e), rg.tail(e)) << "edge " << e;
+    ASSERT_EQ(g.head(e), rg.head(e)) << "edge " << e;
+    ASSERT_EQ(w.to_grid_edge(e), ref.to_grid_edge[e]) << "edge " << e;
+  }
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    ASSERT_EQ(g.arc_begin(v), rg.arc_begin(v)) << "vertex " << v;
+    ASSERT_EQ(g.arc_end(v), rg.arc_end(v)) << "vertex " << v;
+    ASSERT_EQ(w.positions()[v], ref.positions[v]) << "vertex " << v;
+    ASSERT_EQ(w.to_grid_vertex(v), ref.to_grid_vertex[v]) << "vertex " << v;
+  }
+  for (std::size_t a = 0; a < g.num_arcs(); ++a) {
+    ASSERT_EQ(g.arc_heads()[a], rg.arc_heads()[a]) << "arc " << a;
+    ASSERT_EQ(g.arc_edges()[a], rg.arc_edges()[a]) << "arc " << a;
+  }
+  expect_same_bits(w.edge_costs(), ref.costs, "edge_costs");
+  expect_same_bits(w.edge_delays(), ref.delays, "edge_delays");
+  const ArcCostView& v = w.arc_costs();
+  const ArcCostView& rv = ref.arc_costs;
+  ASSERT_EQ(v.graph(), &g);
+  expect_same_bits(v.edge_cost(), ref.costs, "view edge_cost");
+  expect_same_bits(v.edge_delay(), ref.delays, "view edge_delay");
+  // The strips including their zero pad (what full-width loads may read).
+  const std::size_t padded = g.num_arcs() + kRelaxStrip;
+  expect_same_bits({v.arc_cost_data(), padded},
+                   {rv.arc_cost_data(), padded}, "arc_cost");
+  expect_same_bits({v.arc_delay_data(), padded},
+                   {rv.arc_delay_data(), padded}, "arc_delay");
+  for (std::size_t a = g.num_arcs(); a < padded; ++a) {
+    ASSERT_EQ(bits(v.arc_cost_data()[a]), 0u);
+    ASSERT_EQ(bits(v.arc_delay_data()[a]), 0u);
+  }
+  ASSERT_EQ(v.arc_layer().size(), rv.arc_layer().size());
+  for (std::size_t a = 0; a < g.num_arcs(); ++a) {
+    ASSERT_EQ(v.arc_layer()[a], rv.arc_layer()[a]) << "arc " << a;
+  }
+}
+
+LayerSpec layer_spec(LayerDir dir, int wire_types) {
+  LayerSpec l;
+  l.name = dir == LayerDir::kHorizontal ? "H" : "V";
+  l.dir = dir;
+  l.capacity = 6.0;
+  for (int k = 0; k < wire_types; ++k) {
+    WireType wt;
+    wt.name = l.name + std::to_string(k);
+    wt.width = 1.0 + k;
+    wt.unit_cost = 1.0 + 0.75 * k;
+    wt.delay_per_gcell = 3.0 / (1.0 + k);
+    l.wire_types.push_back(wt);
+  }
+  return l;
+}
+
+/// Grids covering the layout's cases: one and two wire types in both
+/// directions, a single layer (no vias), and degenerate 1-wide extents.
+std::vector<RoutingGrid> layout_grids() {
+  const LayerDir H = LayerDir::kHorizontal, V = LayerDir::kVertical;
+  const ViaSpec via{1.0, 1.5, 2.5};
+  std::vector<RoutingGrid> grids;
+  grids.emplace_back(9, 7, make_default_layer_stack(4), ViaSpec{});
+  grids.emplace_back(
+      8, 6,
+      std::vector<LayerSpec>{layer_spec(V, 2), layer_spec(H, 1),
+                             layer_spec(V, 1), layer_spec(H, 2),
+                             layer_spec(H, 2)},
+      via);
+  grids.emplace_back(7, 5, std::vector<LayerSpec>{layer_spec(V, 2)}, via);
+  grids.emplace_back(6, 4, std::vector<LayerSpec>{layer_spec(H, 1)}, via);
+  grids.emplace_back(1, 5,
+                     std::vector<LayerSpec>{layer_spec(H, 2), layer_spec(V, 1)},
+                     via);
+  grids.emplace_back(5, 1,
+                     std::vector<LayerSpec>{layer_spec(H, 1), layer_spec(V, 2)},
+                     via);
+  return grids;
+}
+
+Rect rect(std::int32_t xlo, std::int32_t ylo, std::int32_t xhi,
+          std::int32_t yhi) {
+  Rect r;
+  r.expand(Point2{xlo, ylo});
+  r.expand(Point2{xhi, yhi});
+  return r;
+}
+
+/// Random boxes, boxes clipped at each border, one-gcell-wide and -tall
+/// boxes, a single gcell, and the whole grid (and beyond).
+std::vector<Rect> layout_boxes(const RoutingGrid& g, Rng& rng) {
+  const std::int32_t mx = g.nx() - 1, my = g.ny() - 1;
+  const std::int32_t cx = mx / 2, cy = my / 2;
+  std::vector<Rect> boxes{
+      rect(-3, cy, cx, my),      rect(cx, -2, mx, cy),   // xlo, ylo borders
+      rect(cx, 0, mx + 4, my),   rect(0, cy, cx, my + 5),  // xhi, yhi
+      rect(-2, -2, mx + 2, my + 2),                        // beyond all four
+      rect(cx, 0, cx, my),       rect(0, cy, mx, cy),      // wx == 1, wy == 1
+      rect(cx, cy, cx, cy),      rect(0, 0, mx, my),       // 1x1, full grid
+  };
+  for (int i = 0; i < 6; ++i) {
+    const auto x0 = static_cast<std::int32_t>(rng.uniform_int(-2, mx));
+    const auto y0 = static_cast<std::int32_t>(rng.uniform_int(-2, my));
+    const auto x1 = static_cast<std::int32_t>(rng.uniform_int(x0, mx + 2));
+    const auto y1 = static_cast<std::int32_t>(rng.uniform_int(y0, my + 2));
+    boxes.push_back(rect(x0, y0, std::max(x1, 0), std::max(y1, 0)));
+  }
+  return boxes;
+}
+
+TEST(RoutingGrid, ClosedFormEdgeIdsMatchBuild) {
+  for (const RoutingGrid& g : layout_grids()) {
+    const Graph& gg = g.graph();
+    for (EdgeId e = 0; e < gg.num_edges(); ++e) {
+      const RoutingGrid::EdgeInfo& info = g.edge_info(e);
+      const Point3 a = g.position(gg.tail(e));
+      ASSERT_LT(gg.tail(e), gg.head(e));
+      if (info.is_via) {
+        ASSERT_EQ(g.via_edge(a.x, a.y, a.z), e);
+      } else {
+        ASSERT_EQ(g.wire_edge(a.x, a.y, a.z, info.wire_type), e);
+      }
+    }
+  }
+}
+
+TEST(Window, StampedWindowBitIdenticalToReferenceBuild) {
+  Rng rng(2024);
+  for (const RoutingGrid& g : layout_grids()) {
+    SCOPED_TRACE(testing::Message()
+                 << "grid " << g.nx() << "x" << g.ny() << "x" << g.nz());
+    CongestionCosts costs(g);
+    // Uneven usage, so prices differ edge to edge.
+    std::vector<EdgeId> used;
+    for (EdgeId e = 0; e < g.graph().num_edges(); ++e) {
+      if (rng.uniform(3) == 0) used.push_back(e);
+    }
+    costs.add_usage(used, +1.0);
+    const std::vector<double> snapshot = costs.edge_cost_vector();
+    // Live prices move on after the snapshot, so the two modes differ.
+    costs.add_usage(used, +1.0);
+    SparseMap<double> excluded;
+    for (std::size_t i = 0; i < used.size(); i += 2) {
+      excluded[g.edge_info(used[i]).resource] += 1.0;
+    }
+    const RoundPricing frozen{snapshot, nullptr};
+    const RoundPricing frozen_excluding{snapshot, &excluded};
+    const RoundPricing* modes[] = {nullptr, &frozen, &frozen_excluding};
+
+    for (const Rect& box : layout_boxes(g, rng)) {
+      for (int m = 0; m < 3; ++m) {
+        SCOPED_TRACE(testing::Message()
+                     << "box [" << box.xlo << "," << box.xhi << "]x["
+                     << box.ylo << "," << box.yhi << "] pricing mode " << m);
+        const RoutingWindow w(g, costs, box, modes[m]);
+        const auto ref = reference_window(g, costs, box, modes[m]);
+        expect_matches_reference(w, *ref);
+      }
+    }
+  }
 }
 
 }  // namespace
