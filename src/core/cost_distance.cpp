@@ -330,6 +330,10 @@ BudgetReserve reserve_with_backoff(DenseStateBudget& budget,
 
 namespace {
 
+/// Backoff rounds (50us doubling, ~3 ms total) before a contended shared
+/// dense-state reservation degrades the solve to sparse state.
+constexpr int kBudgetBackoffAttempts = 6;
+
 class Solver {
  public:
   Solver(const CostDistanceInstance& inst, const SolverOptions& opts,
@@ -356,9 +360,6 @@ class Solver {
         rng_(opts.seed) {
     astar_on_ = opts_.use_astar && opts_.future_cost != nullptr;
     place_on_ = opts_.better_steiner_placement && opts_.future_cost != nullptr;
-    // SoA geometry plane for inline bound evaluation (bit-identical to the
-    // virtual path; only offered by oracles whose bounds are pure geometry).
-    if (astar_on_ || place_on_) pb_ = opts_.future_cost->plane_bounds();
   }
 
   ~Solver() {
@@ -418,9 +419,7 @@ class Solver {
 
     SolveResult result;
     result.tree = assembler_.finalize();
-    if (opts_.validate_result) {
-      result.tree.validate(g_, inst_.sinks.size());
-    }
+    result.tree.validate(g_, inst_.sinks.size());
     result.eval = evaluate_tree(result.tree, inst_);
     result.stats = stats_;
     return result;
@@ -446,8 +445,7 @@ class Solver {
     if (opts_.shared_dense_budget != nullptr) {
       CDST_FAULT_POINT("solver.budget_reserve");
       const BudgetReserve r = reserve_with_backoff(
-          *opts_.shared_dense_budget, dense_bytes,
-          opts_.budget_backoff_attempts);
+          *opts_.shared_dense_budget, dense_bytes, kBudgetBackoffAttempts);
       dense = r == BudgetReserve::kReserved;
       if (dense) budget_reserved_ = dense_bytes;
       if (r == BudgetReserve::kOversized && opts_.strict_shared_budget) {
@@ -504,11 +502,9 @@ class Solver {
     vertex_owner_[inst_.root] = root_comp_;
 
     if (astar_on_) {
-      fc_min_unit_cost_ = opts_.future_cost->min_unit_cost();
-      fc_min_unit_delay_ = opts_.future_cost->min_unit_delay();
       nn_ = std::make_unique<L1NearestNeighbor>(nn_bucket_size());
       for (std::uint32_t i = 0; i <= t; ++i) {
-        nn_->insert(i, xy_of(comps_[i].terminal));
+        nn_->insert(i, opts_.future_cost->xy(comps_[i].terminal));
       }
     }
 
@@ -519,18 +515,15 @@ class Solver {
 
   std::int32_t nn_bucket_size() const {
     // Bucket side on the order of expected terminal spacing.
+    const FutureCostOracle& fc = *opts_.future_cost;
     Rect box;
-    box.expand(xy_of(inst_.root));
-    for (const Terminal& s : inst_.sinks) box.expand(xy_of(s.vertex));
+    box.expand(fc.xy(inst_.root));
+    for (const Terminal& s : inst_.sinks) box.expand(fc.xy(s.vertex));
     const double area = static_cast<double>(
         std::max<std::int64_t>(1, box.width() * box.height()));
     const double spacing =
         std::sqrt(area / static_cast<double>(inst_.sinks.size() + 1));
     return std::max<std::int32_t>(2, static_cast<std::int32_t>(spacing));
-  }
-
-  Point2 xy_of(VertexId v) const {
-    return pb_.valid() ? pb_.xy(v) : opts_.future_cost->xy(v);
   }
 
   // ------------------------------------------------------------ ownership --
@@ -589,37 +582,16 @@ class Solver {
     SearchState& st = *searches_[comp].state;
     double cached;
     if (st.h_cached(x, scratch_.h_gen, &cached)) return cached;
-    if (pb_.valid()) {
-      // Every inline-plane bound — single misses here, batched misses in
-      // the strip relax loop — funnels through future_bounds_plane, so each
-      // h of a solve is produced by one instruction sequence regardless of
-      // which path asked first.
-      double h;
-      future_bounds_plane(comp, &x, 1, &h);
-      return h;
-    }
-    const double w = comps_[comp].weight;
-    const bool cost_ok = comps_[comp].singleton;  // discount feasibility
-    const VertexId rootv = comps_[root_comp_].terminal;
-    const FutureCostOracle& fc = *opts_.future_cost;
-    const Point2 x_xy = fc.xy(x);
-    // Root target: exact vertex known, strongest bound (ALT-capable).
-    double h = w * fc.delay_lb(x, rootv);
-    if (cost_ok) h += fc.cost_lb(x, rootv);
-
-    // Nearest other terminal in the plane.
-    const std::int64_t nd = nn_->nearest_distance(x_xy, comp);
-    if (nd != std::numeric_limits<std::int64_t>::max()) {
-      const double dist = static_cast<double>(nd);
-      double ht = dist * w * fc_min_unit_delay_;
-      if (cost_ok) ht += dist * fc_min_unit_cost_;
-      h = std::min(h, ht);
-    }
-    st.store_h(x, scratch_.h_gen, h);
+    // Every bound — single misses here, batched misses in the strip relax
+    // loop — funnels through future_bounds_plane, so each h of a solve is
+    // produced by one instruction sequence regardless of which path asked
+    // first.
+    double h;
+    future_bounds_plane(comp, &x, 1, &h);
     return h;
   }
 
-  /// Inline-plane future bounds for up to Vec4d::kLanes vertices at once:
+  /// Future bounds for up to Vec4d::kLanes vertices at once:
   /// the root-target term evaluates as Vec4d geometry (one L1/via-delta pass
   /// shared by the delay and cost bounds, landmark tables folded by exact
   /// max), then the per-vertex nearest-terminal probe and memo store run
@@ -632,7 +604,9 @@ class Solver {
     const double w = comps_[comp].weight;
     const bool cost_ok = comps_[comp].singleton;  // discount feasibility
     const VertexId rootv = comps_[root_comp_].terminal;
-    const Point3& pr = pb_.positions[rootv];
+    const FutureCostOracle& fc = *opts_.future_cost;
+    const Point3* pos = fc.positions();
+    const Point3& pr = pos[rootv];
 
     // Short groups pad with the last vertex: the pad lanes compute a valid
     // (discarded) bound instead of reading out of range.
@@ -642,7 +616,7 @@ class Solver {
     alignas(kVecAlign) double azd[Vec4d::kLanes];
     for (std::uint32_t k = 0; k < Vec4d::kLanes; ++k) {
       gx[k] = xs[k < cnt ? k : cnt - 1];
-      const Point3& p = pb_.positions[gx[k]];
+      const Point3& p = pos[gx[k]];
       axd[k] = static_cast<double>(p.x);
       ayd[k] = static_cast<double>(p.y);
       azd[k] = static_cast<double>(p.z);
@@ -655,15 +629,15 @@ class Solver {
     const Vec4d dz = Vec4d::abs(Vec4d::load(azd) -
                                 Vec4d::broadcast(static_cast<double>(pr.z)));
     // h = w * delay_lb(x, root) [+ cost_lb(x, root)] — the same l1*unit +
-    // dz*via expression shape per term as PlaneBoundData's scalar formulas.
+    // dz*via expression shape per term as FutureCostOracle's scalar formulas.
     Vec4d h = Vec4d::broadcast(w) *
-              (l1 * Vec4d::broadcast(pb_.min_unit_delay) +
-               dz * Vec4d::broadcast(pb_.min_via_delay));
+              (l1 * Vec4d::broadcast(fc.min_unit_delay()) +
+               dz * Vec4d::broadcast(fc.min_via_delay()));
     if (cost_ok) {
-      Vec4d clb = l1 * Vec4d::broadcast(pb_.min_unit_cost) +
-                  dz * Vec4d::broadcast(pb_.min_via_cost);
-      for (std::size_t i = 0; i < pb_.num_landmarks; ++i) {
-        const double* t = pb_.landmark_tables[i].data();
+      Vec4d clb = l1 * Vec4d::broadcast(fc.min_unit_cost()) +
+                  dz * Vec4d::broadcast(fc.min_via_cost());
+      for (std::size_t i = 0; i < fc.num_landmarks(); ++i) {
+        const double* t = fc.landmark_tables()[i].data();
         const Vec4d ad =
             Vec4d::abs(Vec4d::gather(t, gx) - Vec4d::broadcast(t[rootv]));
         // max(ad, clb) = (ad > clb) ? ad : clb — exactly the scalar fold.
@@ -678,11 +652,11 @@ class Solver {
     for (std::uint32_t k = 0; k < cnt; ++k) {
       double hk = h4[k];
       // Nearest other terminal in the plane.
-      const std::int64_t nd = nn_->nearest_distance(pb_.xy(xs[k]), comp);
+      const std::int64_t nd = nn_->nearest_distance(fc.xy(xs[k]), comp);
       if (nd != std::numeric_limits<std::int64_t>::max()) {
         const double dist = static_cast<double>(nd);
-        double ht = dist * w * fc_min_unit_delay_;
-        if (cost_ok) ht += dist * fc_min_unit_cost_;
+        double ht = dist * w * fc.min_unit_delay();
+        if (cost_ok) ht += dist * fc.min_unit_cost();
         hk = std::min(hk, ht);
       }
       st.store_h(xs[k], scratch_.h_gen, hk);
@@ -846,22 +820,16 @@ class Solver {
             miss[nm++] = i;
           }
         }
-        if (nm != 0 && pb_.valid()) {
-          VertexId xs[Vec4d::kLanes];
-          double out[Vec4d::kLanes];
-          for (std::uint32_t m = 0; m < nm; m += Vec4d::kLanes) {
-            const std::uint32_t gc = std::min(Vec4d::kLanes, nm - m);
-            for (std::uint32_t k = 0; k < gc; ++k) {
-              xs[k] = heads[s + pk[miss[m + k]]];
-            }
-            future_bounds_plane(u, xs, gc, out);
-            for (std::uint32_t k = 0; k < gc; ++k) {
-              h[miss[m + k]] = out[k];
-            }
+        VertexId xs[Vec4d::kLanes];
+        double out[Vec4d::kLanes];
+        for (std::uint32_t m = 0; m < nm; m += Vec4d::kLanes) {
+          const std::uint32_t gc = std::min(Vec4d::kLanes, nm - m);
+          for (std::uint32_t k = 0; k < gc; ++k) {
+            xs[k] = heads[s + pk[miss[m + k]]];
           }
-        } else {
-          for (std::uint32_t j = 0; j < nm; ++j) {
-            h[miss[j]] = future_bound(u, heads[s + pk[miss[j]]]);
+          future_bounds_plane(u, xs, gc, out);
+          for (std::uint32_t k = 0; k < gc; ++k) {
+            h[miss[m + k]] = out[k];
           }
         }
         for (std::uint32_t i = 0; i < np; ++i) {
@@ -1027,7 +995,7 @@ class Solver {
     if (astar_on_) {
       if (nn_->active(u)) nn_->erase(u);
       if (nn_->active(o)) nn_->erase(o);
-      nn_->insert(s, xy_of(cs.terminal));
+      nn_->insert(s, opts_.future_cost->xy(cs.terminal));
     }
     // The active target set changed: every memoized future bound is stale.
     // Bumping the generation both invalidates surviving searches' memos and
@@ -1125,9 +1093,6 @@ class Solver {
   Rng rng_;
   bool astar_on_{false};
   bool place_on_{false};
-  PlaneBoundData pb_;  ///< SoA geometry plane; invalid -> virtual oracle
-  double fc_min_unit_cost_{0.0};   ///< cached oracle minima (loop constants)
-  double fc_min_unit_delay_{0.0};
   std::unique_ptr<L1NearestNeighbor> nn_;
 
   std::uint32_t root_comp_{0};

@@ -1,10 +1,15 @@
 /// \file future_oracle.h
-/// Geometry / future-cost interface consumed by the cost-distance solver's
-/// goal-oriented search (Section III-C) and Steiner placement (III-D).
+/// Lower-bound plane consumed by the cost-distance solver's goal-oriented
+/// search (Section III-C) and Steiner placement (III-D).
 ///
-/// Vertex ids are those of the *solver's* graph — the full routing grid or a
-/// routing window (subgraph); implementations translate accordingly
-/// (grid::FutureCost, grid::WindowFutureCost).
+/// FutureCostOracle is one concrete type: a dense per-vertex position array,
+/// the four per-unit minima the L1 bound formulas combine, and optionally ALT
+/// landmark tables (graph/landmarks.h) that strengthen the cost side. The
+/// solver evaluates every bound inline from this data — one position load
+/// and a few multiply-adds, plus one dense table load per landmark. Vertex
+/// ids are those of the *solver's* graph: the full routing grid or a routing
+/// window. The grid oracles only fill the plane in (grid::FutureCost,
+/// grid::WindowFutureCost); none carries a bound formula of its own.
 
 #pragma once
 
@@ -16,80 +21,60 @@
 
 namespace cdst {
 
-/// Structure-of-arrays form of a bound oracle with inline-evaluable bounds:
-/// a dense per-vertex position array plus the four per-unit minima the L1
-/// bound formulas combine, optionally strengthened by ALT landmark tables
-/// (graph/landmarks.h) on the cost side. When an oracle publishes this (see
-/// FutureCostOracle::plane_bounds), the solver's inner loop evaluates
-/// cost/delay lower bounds inline — one position load and a few fused
-/// multiply-adds, plus one dense table load per landmark — instead of a
-/// virtual call that re-derives coordinates with div/mod per query. Bounds
-/// computed either way are bit-identical: the geometric formulas are copied
-/// verbatim, and folding each landmark's |t[a] - t[b]| into the running
-/// bound is exact because max is (the max(geo, max_L ...) of the virtual
-/// path associates freely).
-struct PlaneBoundData {
-  const Point3* positions{nullptr};  ///< dense, indexed by solver VertexId
-  double min_unit_cost{0.0};
-  double min_unit_delay{0.0};
-  double min_via_cost{0.0};
-  double min_via_delay{0.0};
-  /// ALT landmark distance tables (dense per-vertex, one per landmark);
-  /// null/0 when the oracle has none. Borrowed from the oracle.
-  const std::vector<double>* landmark_tables{nullptr};
-  std::size_t num_landmarks{0};
+class FutureCostOracle {
+ public:
+  /// Plane position of a vertex (for L1 nearest-target bounds).
+  Point2 xy(VertexId v) const { return positions_[v].xy(); }
 
-  bool valid() const { return positions != nullptr; }
-
-  /// Exactly the cost_lb formula of the grid oracles: geometric floor,
-  /// raised by each landmark's triangle-inequality bound.
+  /// Admissible lower bound on the congestion cost of any a-b path: the
+  /// geometric floor, raised by each landmark's triangle-inequality bound
+  /// |t[a] - t[b]|.
   double cost_lb(VertexId a, VertexId b) const {
-    const Point3& pa = positions[a];
-    const Point3& pb = positions[b];
-    double geo = static_cast<double>(l1_distance(pa, pb)) * min_unit_cost +
-                 std::abs(pa.z - pb.z) * min_via_cost;
-    for (std::size_t i = 0; i < num_landmarks; ++i) {
-      const double d = landmark_tables[i][a] - landmark_tables[i][b];
+    const Point3& pa = positions_[a];
+    const Point3& pb = positions_[b];
+    double geo = static_cast<double>(l1_distance(pa, pb)) * min_unit_cost_ +
+                 std::abs(pa.z - pb.z) * min_via_cost_;
+    for (std::size_t i = 0; i < num_landmarks_; ++i) {
+      const double d = landmark_tables_[i][a] - landmark_tables_[i][b];
       const double ad = d < 0 ? -d : d;
       if (ad > geo) geo = ad;
     }
     return geo;
   }
 
-  /// Exactly the geometric delay_lb formula of the grid oracles.
+  /// Admissible lower bound on the delay of any a-b path.
   double delay_lb(VertexId a, VertexId b) const {
-    const Point3& pa = positions[a];
-    const Point3& pb = positions[b];
-    return static_cast<double>(l1_distance(pa, pb)) * min_unit_delay +
-           std::abs(pa.z - pb.z) * min_via_delay;
+    const Point3& pa = positions_[a];
+    const Point3& pb = positions_[b];
+    return static_cast<double>(l1_distance(pa, pb)) * min_unit_delay_ +
+           std::abs(pa.z - pb.z) * min_via_delay_;
   }
 
-  Point2 xy(VertexId v) const { return positions[v].xy(); }
-};
-
-class FutureCostOracle {
- public:
-  virtual ~FutureCostOracle() = default;
-
-  /// Plane position of a vertex (for L1 nearest-target bounds).
-  virtual Point2 xy(VertexId v) const = 0;
-
-  /// Admissible lower bound on the congestion cost of any a-b path.
-  virtual double cost_lb(VertexId a, VertexId b) const = 0;
-
-  /// Admissible lower bound on the delay of any a-b path.
-  virtual double delay_lb(VertexId a, VertexId b) const = 0;
-
+  /// Dense positions, indexed by solver VertexId.
+  const Point3* positions() const { return positions_; }
   /// Cheapest congestion cost per plane unit (any layer/wire type).
-  virtual double min_unit_cost() const = 0;
-
+  double min_unit_cost() const { return min_unit_cost_; }
   /// Fastest delay per plane unit (any layer/wire type).
-  virtual double min_unit_delay() const = 0;
+  double min_unit_delay() const { return min_unit_delay_; }
+  double min_via_cost() const { return min_via_cost_; }
+  double min_via_delay() const { return min_via_delay_; }
+  /// ALT landmark distance tables (dense per-vertex, one per landmark);
+  /// null when num_landmarks() is 0.
+  const std::vector<double>* landmark_tables() const {
+    return landmark_tables_;
+  }
+  std::size_t num_landmarks() const { return num_landmarks_; }
 
-  /// SoA view of the oracle's geometry (and landmark tables, if any) for
-  /// inline bound evaluation (see PlaneBoundData). Default: none — callers
-  /// fall back to the virtual bound methods above.
-  virtual PlaneBoundData plane_bounds() const { return {}; }
+ protected:
+  FutureCostOracle() = default;
+
+  const Point3* positions_{nullptr};
+  double min_unit_cost_{0.0};
+  double min_unit_delay_{0.0};
+  double min_via_cost_{0.0};
+  double min_via_delay_{0.0};
+  const std::vector<double>* landmark_tables_{nullptr};  ///< borrowed
+  std::size_t num_landmarks_{0};
 };
 
 }  // namespace cdst

@@ -64,7 +64,7 @@ inline constexpr std::uint32_t kWorkerErrorMagic = fourcc('C', 'D', 'e', 'r');
 
 /// One version for the whole protocol: the messages only ever travel
 /// together, so they revise together.
-inline constexpr std::uint32_t kDistWireVersion = 1;
+inline constexpr std::uint32_t kDistWireVersion = 2;
 
 /// The round-invariant world a shard worker reconstructs once. Grid geometry
 /// travels as the RoutingGrid constructor inputs (nx/ny/layers/via): the

@@ -96,7 +96,7 @@ class Landmarks {
 
   /// Distance table of landmark i (for tests).
   const std::vector<double>& table(std::size_t i) const { return tables_[i]; }
-  /// All tables, dense per-vertex — feeds PlaneBoundData::landmark_tables.
+  /// All tables, dense per-vertex — feeds FutureCostOracle::landmark_tables.
   const std::vector<std::vector<double>>& tables() const { return tables_; }
   VertexId landmark(std::size_t i) const { return picks_[i]; }
 

@@ -3,12 +3,12 @@
 namespace cdst {
 
 FutureCost::FutureCost(const RoutingGrid& grid, std::size_t num_landmarks,
-                       ThreadPool* pool)
-    : grid_(&grid),
-      min_unit_cost_(grid.min_unit_cost()),
-      min_unit_delay_(grid.min_unit_delay()),
-      min_via_cost_(grid.min_via_cost()),
-      min_via_delay_(grid.min_via_delay()) {
+                       ThreadPool* pool) {
+  positions_ = grid.positions().data();
+  min_unit_cost_ = grid.min_unit_cost();
+  min_unit_delay_ = grid.min_unit_delay();
+  min_via_cost_ = grid.min_via_cost();
+  min_via_delay_ = grid.min_via_delay();
   if (num_landmarks > 0) {
     // Batch of 4 per greedy round: enough table-build parallelism for the
     // shared pool while keeping the avoid-farthest selection quality. The
@@ -19,6 +19,8 @@ FutureCost::FutureCost(const RoutingGrid& grid, std::size_t num_landmarks,
     landmarks_ = std::make_unique<Landmarks>(
         grid.graph(), ArrayLength(grid.arc_costs()), num_landmarks, pool,
         /*batch=*/4);
+    landmark_tables_ = landmarks_->tables().data();
+    num_landmarks_ = landmarks_->count();
   }
 }
 

@@ -91,43 +91,18 @@ class RoutingWindow {
   std::int32_t wx_{0}, wy_{0};  ///< window extent in gcells
 };
 
-/// FutureCostOracle over a routing window: geometric L1 bounds evaluated in
-/// grid coordinates (no landmarks — windows are rebuilt per net).
+/// FutureCostOracle over a routing window: the window's dense positions (in
+/// grid coordinates) with the grid's unit minima; no landmarks, since windows
+/// are rebuilt per net.
 class WindowFutureCost final : public FutureCostOracle {
  public:
-  explicit WindowFutureCost(const RoutingWindow& w) : w_(&w) {}
-
-  Point2 xy(VertexId v) const override { return w_->positions()[v].xy(); }
-  double cost_lb(VertexId a, VertexId b) const override {
-    const Point3 pa = w_->positions()[a];
-    const Point3 pb = w_->positions()[b];
-    return static_cast<double>(l1_distance(pa, pb)) *
-               w_->grid().min_unit_cost() +
-           std::abs(pa.z - pb.z) * w_->grid().min_via_cost();
+  explicit WindowFutureCost(const RoutingWindow& w) {
+    positions_ = w.positions().data();
+    min_unit_cost_ = w.grid().min_unit_cost();
+    min_unit_delay_ = w.grid().min_unit_delay();
+    min_via_cost_ = w.grid().min_via_cost();
+    min_via_delay_ = w.grid().min_via_delay();
   }
-  double delay_lb(VertexId a, VertexId b) const override {
-    const Point3 pa = w_->positions()[a];
-    const Point3 pb = w_->positions()[b];
-    return static_cast<double>(l1_distance(pa, pb)) *
-               w_->grid().min_unit_delay() +
-           std::abs(pa.z - pb.z) * w_->grid().min_via_delay();
-  }
-  double min_unit_cost() const override { return w_->grid().min_unit_cost(); }
-  double min_unit_delay() const override {
-    return w_->grid().min_unit_delay();
-  }
-
-  /// Window bounds are always pure geometry (no landmarks on windows), so
-  /// the SoA plane is unconditional.
-  PlaneBoundData plane_bounds() const override {
-    return PlaneBoundData{w_->positions().data(), w_->grid().min_unit_cost(),
-                          w_->grid().min_unit_delay(),
-                          w_->grid().min_via_cost(),
-                          w_->grid().min_via_delay()};
-  }
-
- private:
-  const RoutingWindow* w_;
 };
 
 }  // namespace cdst

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -118,21 +120,80 @@ TEST(CongestionCosts, RipUpNeverGoesNegative) {
   EXPECT_GE(costs.usage(g.edge_info(0).resource), 0.0);
 }
 
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Reference cost bound: the L1 + via formula from grid positions and the
+/// grid's zero-congestion minima, raised by max |t[a] - t[b]| over the
+/// landmark tables `fc` publishes.
+double reference_cost_lb(const RoutingGrid& g, const FutureCostOracle& fc,
+                         VertexId a, VertexId b) {
+  const Point3 pa = g.position(a);
+  const Point3 pb = g.position(b);
+  double lb = static_cast<double>(l1_distance(pa, pb)) * g.min_unit_cost() +
+              std::abs(pa.z - pb.z) * g.min_via_cost();
+  for (std::size_t i = 0; i < fc.num_landmarks(); ++i) {
+    const std::vector<double>& t = fc.landmark_tables()[i];
+    lb = std::max(lb, std::abs(t[a] - t[b]));
+  }
+  return lb;
+}
+
+/// Reference delay bound: the L1 + via formula from grid positions.
+double reference_delay_lb(const RoutingGrid& g, VertexId a, VertexId b) {
+  const Point3 pa = g.position(a);
+  const Point3 pb = g.position(b);
+  return static_cast<double>(l1_distance(pa, pb)) * g.min_unit_delay() +
+         std::abs(pa.z - pb.z) * g.min_via_delay();
+}
+
 TEST(FutureCost, BoundsAreAdmissible) {
   const RoutingGrid g = small_grid(7, 7, 4);
-  const FutureCost fc(g, /*num_landmarks=*/4);
   const std::vector<double>& base = g.base_costs();
   const std::vector<double>& delays = g.edge_delays();
-  Rng rng(99);
-  for (int trial = 0; trial < 12; ++trial) {
-    const auto s = static_cast<VertexId>(rng.uniform(g.graph().num_vertices()));
-    const auto rc =
-        dijkstra(g.graph(), {s}, [&](EdgeId e) { return base[e]; });
-    const auto rd =
-        dijkstra(g.graph(), {s}, [&](EdgeId e) { return delays[e]; });
-    for (VertexId v = 0; v < g.graph().num_vertices(); ++v) {
-      EXPECT_LE(fc.cost_lb(s, v), rc.dist[v] + 1e-9);
-      EXPECT_LE(fc.delay_lb(s, v), rd.dist[v] + 1e-9);
+  for (const std::size_t landmarks : {std::size_t{0}, std::size_t{4}}) {
+    const FutureCost fc(g, landmarks);
+    ASSERT_EQ(fc.num_landmarks(), landmarks);
+    Rng rng(99);
+    for (int trial = 0; trial < 12; ++trial) {
+      const auto s =
+          static_cast<VertexId>(rng.uniform(g.graph().num_vertices()));
+      const auto rc =
+          dijkstra(g.graph(), {s}, [&](EdgeId e) { return base[e]; });
+      const auto rd =
+          dijkstra(g.graph(), {s}, [&](EdgeId e) { return delays[e]; });
+      for (VertexId v = 0; v < g.graph().num_vertices(); ++v) {
+        EXPECT_LE(fc.cost_lb(s, v), rc.dist[v] + 1e-9);
+        EXPECT_LE(fc.delay_lb(s, v), rd.dist[v] + 1e-9);
+        // The published bounds are exactly the reference formulas.
+        ASSERT_EQ(bits(fc.cost_lb(s, v)), bits(reference_cost_lb(g, fc, s, v)))
+            << "landmarks " << landmarks << " s " << s << " v " << v;
+        ASSERT_EQ(bits(fc.delay_lb(s, v)), bits(reference_delay_lb(g, s, v)))
+            << "landmarks " << landmarks << " s " << s << " v " << v;
+      }
+    }
+  }
+}
+
+TEST(WindowFutureCost, BoundsMatchGridFutureCostOnMappedVertices) {
+  const RoutingGrid g = small_grid(9, 8, 3);
+  CongestionCosts costs(g);
+  Rect box;  // clipped: extends past the grid's right and bottom edges
+  box.expand(Point2{3, -2});
+  box.expand(Point2{12, 5});
+  const RoutingWindow w(g, costs, box);
+  const WindowFutureCost wfc(w);
+  const FutureCost fc(g);
+  const VertexId n = w.graph().num_vertices();
+  ASSERT_EQ(n, 6u * 6u * 3u);
+  for (VertexId a = 0; a < n; ++a) {
+    const VertexId ga = w.to_grid_vertex(a);
+    EXPECT_EQ(wfc.xy(a), fc.xy(ga));
+    for (VertexId b = 0; b < n; ++b) {
+      const VertexId gb = w.to_grid_vertex(b);
+      ASSERT_EQ(bits(wfc.cost_lb(a, b)), bits(fc.cost_lb(ga, gb)))
+          << "window " << a << "-" << b;
+      ASSERT_EQ(bits(wfc.delay_lb(a, b)), bits(fc.delay_lb(ga, gb)))
+          << "window " << a << "-" << b;
     }
   }
 }
@@ -284,8 +345,6 @@ std::unique_ptr<ReferenceWindow> reference_window(
   ref->arc_costs.assign(ref->graph, ref->costs, ref->delays, layer_of);
   return ref;
 }
-
-std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 /// Element-wise bit equality; `what` names the array in failure messages.
 void expect_same_bits(std::span<const double> got,
