@@ -1,7 +1,9 @@
 // Microbenchmark for the router's round disciplines: the legacy batched
 // rip-up & re-route loop (shards = 0) against spatially sharded rounds
 // (shards >= 1, route/sharding.h), plus the L1/SL/PD baselines' embedding
-// DP in batched rounds and the per-net window build (BM_Router_Window). Sharded rounds freeze the price plane
+// DP in batched rounds, the DP of the largest net alone, serial and on a
+// pool (BM_Embed_Heavy), and the per-net window build (BM_Router_Window).
+// Sharded rounds freeze the price plane
 // once per round — windows gather prices instead of exponentiating per
 // edge — and fan shards out across the worker pool, so they win twice:
 // less work per net even single-threaded, and chunk-parallel scaling with
@@ -13,6 +15,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -22,6 +25,7 @@
 #include "dist/transport.h"
 #include "route/netlist_gen.h"
 #include "route/steiner_oracle.h"
+#include "topology/prim_dijkstra.h"
 #include "util/sparse_map.h"
 
 #if defined(CDST_SHARD_WORKER_PATH)
@@ -118,6 +122,60 @@ BENCHMARK(BM_Router_Embedded)
     ->Arg(1)
     ->Arg(2)
     ->Unit(benchmark::kMillisecond);
+
+/// The layer the nested pool speeds up: the embedding DP of the fixture's
+/// largest net (largest clipped window, then most sinks) under its PD
+/// topology, on a fresh price plane with the session's initial
+/// multipliers. arg 1: serial (no pool); arg 4: each height level fanned
+/// out on a 4-lane pool. The instance and topology are built untimed.
+void BM_Embed_Heavy(benchmark::State& state) {
+  const int lanes = static_cast<int>(state.range(0));
+  const Fixture& f = fixture();
+  const RouterOptions opts = options_for(/*shards=*/0);
+  const auto size = [&](const Net& net) {
+    const Rect box = clip_to_grid(f.grid, net_window_box(net, opts.oracle));
+    return std::pair((box.width() + 1) * (box.height() + 1),
+                     net.sinks.size());
+  };
+  std::size_t heavy = 0;
+  for (std::size_t i = 1; i < f.netlist.nets.size(); ++i) {
+    if (size(f.netlist.nets[i]) > size(f.netlist.nets[heavy])) heavy = i;
+  }
+  const RouterResult initial = Router(f.grid, f.netlist, opts).result();
+  std::size_t offset = 0;
+  for (std::size_t i = 0; i < heavy; ++i) {
+    offset += f.netlist.nets[i].sinks.size();
+  }
+  const Net& net = f.netlist.nets[heavy];
+  const CongestionCosts costs(f.grid, opts.congestion);
+  const OracleInstance oi(
+      f.grid, costs, net,
+      std::span<const double>(initial.sink_weights.data() + offset,
+                              net.sinks.size()),
+      opts.oracle);
+  PrimDijkstraParams pd;
+  pd.gamma = opts.oracle.pd_gamma;
+  pd.delay_per_unit = oi.delay_per_unit();
+  pd.dbif = opts.oracle.dbif;
+  pd.eta = opts.oracle.eta;
+  const PlaneTopology topo =
+      prim_dijkstra_topology(oi.root_xy(), oi.plane_sinks(), pd);
+
+  std::unique_ptr<ThreadPool> pool;
+  SolveControls controls;
+  if (lanes > 1) {
+    pool = std::make_unique<ThreadPool>(lanes);
+    controls.pool = pool.get();
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(embed_topology(topo, oi.instance(), &controls));
+  }
+  state.counters["sinks"] = static_cast<double>(net.sinks.size());
+  state.counters["window_vertices"] =
+      static_cast<double>(oi.window().graph().num_vertices());
+  state.SetLabel(lanes > 1 ? "pooled" : "serial");
+}
+BENCHMARK(BM_Embed_Heavy)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 /// The window-materialization layer: builds the routing window (through
 /// OracleInstance, the unit a router round builds per net) of every net of

@@ -166,9 +166,11 @@ class Router {
 /// Execution is cooperative, not background: step() runs exactly one
 /// Lagrangean round synchronously on the calling thread, fanning out on the
 /// session's ThreadPool exactly like run() would (a round pushed onto the
-/// pool as a fire-and-forget task would serialize its own nested
-/// parallel_for — see util/thread_pool.h — so the pump stays outside the
-/// pool by design). Determinism is inherited, not re-proven: each step() is
+/// pool as a fire-and-forget task would run its parallel_for calls inline,
+/// serially — see util/thread_pool.h — so the pump stays outside the pool
+/// by design; inside a batch body, by contrast, a nested parallel_for opens
+/// a child batch that idle lanes help with, which is how a heavy net's
+/// embedding DP spreads over lanes whose own nets are done). Determinism is inherited, not re-proven: each step() is
 /// a run(1), and run() guarantees any split of N rounds is bit-identical.
 ///
 /// step()'s Status is the slice's run() Status; kCancelled /

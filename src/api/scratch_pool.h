@@ -36,9 +36,12 @@ namespace cdst::detail {
 /// wiring stays call-site specific). All session objects use this, so their
 /// cancellation/deadline semantics cannot drift apart — including the
 /// "cancel_poll_interval == 0 means the default" substitution, which
-/// happens here and nowhere else.
-inline SolveControls make_solve_controls(const RunControl& control) {
+/// happens here and nowhere else. `pool` (nullable) is the pool the
+/// oracle may fan a single net's work out on — the Router passes its own.
+inline SolveControls make_solve_controls(const RunControl& control,
+                                         ThreadPool* pool = nullptr) {
   SolveControls controls;
+  controls.pool = pool;
   if (control.cancel != nullptr) controls.cancel = &control.cancel->flag();
   controls.deadline = control.deadline;
   controls.cancel_poll_interval = control.cancel_poll_interval > 0

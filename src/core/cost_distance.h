@@ -32,6 +32,8 @@
 
 namespace cdst {
 
+class ThreadPool;  // util/thread_pool.h
+
 /// Shared memory budget for the dense per-search vertex index arrays,
 /// drawn on by every solve that runs against it. One atomic pool serves all
 /// concurrent solve lanes of a session (CdSolver::solve_batch, the router's
@@ -301,6 +303,11 @@ struct SolveControls {
   /// Invoked after every component merge. Called on the solving thread.
   std::function<void(const MergeTick&)> on_merge;
   std::uint32_t cancel_poll_interval{4096};
+  /// Pool the solve may fan its own work out on (nullable, borrowed). The
+  /// embedding DP (embed/embedder.h) runs each height level of its topology
+  /// as one parallel_for on it; the cost-distance solver ignores it.
+  /// Process-local: it never crosses the dist wire.
+  ThreadPool* pool{nullptr};
 };
 
 /// True iff `controls` carries a deadline that has passed. Null controls or

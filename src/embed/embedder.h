@@ -19,9 +19,13 @@
 /// pinned parent (most nodes: every child of a sink or of the root) stops
 /// its Dijkstra once the pin is settled and keeps just {value at the pin,
 /// seed vertex, edge path}; a pinned node seeds its own search with the
-/// single label (pin, F_i(pin)). Only nodes under a Steiner parent keep a
-/// full n-sized table. The bounded searches share one set of labels and one
-/// heap per call and reset only the vertices they labelled.
+/// single label (pin, F_i(pin)). Only nodes under a Steiner parent run a
+/// full search. Their dist arrays return to a free list local to the call
+/// once the parent has summed them, and their predecessor arrays as soon
+/// as the search ends: the backtrack walks parent edges (the predecessor is
+/// the edge's other end), so a Steiner child keeps 4 bytes per window
+/// vertex. The bounded searches of one task share one set of labels and
+/// one heap and reset only the vertices they labelled.
 ///
 /// This is exact, not an approximation: up to the pop of the target, a
 /// stopped search performs the same heap operations in the same order as
@@ -49,10 +53,20 @@ struct EmbedResult {
 /// into instance.graph w.r.t. objective (1)+(3). The topology structure is
 /// fixed; Steiner node positions float freely in the graph.
 ///
-/// `controls` (optional) wires in cooperative cancellation: the DP polls the
-/// flag at every node's propagation step and unwinds with SolveCancelled —
-/// the same contract as the cost-distance solver, so the session APIs map
-/// embedded-oracle (L1/SL/PD) cancellations onto kCancelled too.
+/// `controls` (optional) wires in cooperative cancellation and the
+/// deadline: the DP polls both at every node's propagation step and unwinds
+/// with SolveCancelled / SolveDeadlineExceeded — the same contract as the
+/// cost-distance solver, so the session APIs map embedded-oracle (L1/SL/PD)
+/// cancellations onto kCancelled and expiries onto kDeadlineExceeded too.
+///
+/// With `controls->pool` set, the DP runs each height level of the
+/// topology (a leaf is 0, a parent one above its highest child; node 0
+/// last) as one parallel_for on that pool. Called from inside a batch body
+/// of the same pool (the Router's per-net oracle), those are nested
+/// batches that idle lanes join; see util/thread_pool.h. Called from inside
+/// a submit() task they run inline. Every node writes only its own slots
+/// and sums its children in a fixed order, so values, placements and paths
+/// are bit-identical to the serial DP at any lane count.
 ///
 /// Note: with a poorly matched topology the optimal embedding may route two
 /// topology edges over the same graph edge; the objective then pays c(e)

@@ -164,7 +164,9 @@ concept ArcPlaneLength = requires(const T& t, std::uint32_t a) {
 ///
 /// `r.dist` must arrive all-inf. Parent entries are written for every vertex
 /// the search labels (invalid at seeds), so stale ones at unlabelled
-/// vertices are never read. `heap` must be empty and is left empty; a
+/// vertices are never read. `r.parent` may be left empty: the search then
+/// records parent edges only (a labelled vertex's predecessor is the other
+/// end of its parent edge). `heap` must be empty and is left empty; a
 /// cleared heap behaves exactly like a fresh one, so callers running many
 /// searches reuse one. If `labelled` is non-null, every vertex whose dist
 /// the search sets is appended to it once, so the caller can reset just
@@ -185,6 +187,7 @@ void dijkstra_search(const Graph& g,
                      DijkstraResult& r, BinaryHeap<double>& heap,
                      std::vector<VertexId>* labelled = nullptr) {
   CDST_ASSERT(heap.empty());
+  const bool track_parent = !r.parent.empty();
   // Commits an improved label; shared by the seeding and all relax paths.
   const auto improve = [&](VertexId v, double d, EdgeId via, VertexId from) {
     if (labelled != nullptr && r.dist[v] == DijkstraResult::kInf) {
@@ -192,7 +195,7 @@ void dijkstra_search(const Graph& g,
     }
     r.dist[v] = d;
     r.parent_edge[v] = via;
-    r.parent[v] = from;
+    if (track_parent) r.parent[v] = from;
     heap.push_or_decrease(v, d);
   };
   for (const auto& [v, d] : seeds) {

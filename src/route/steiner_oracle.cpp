@@ -7,7 +7,6 @@
 #include "topology/shallow_light.h"
 
 namespace cdst {
-namespace {
 
 Rect net_window_box(const Net& net, const OracleParams& p) {
   Rect box;
@@ -18,8 +17,6 @@ Rect net_window_box(const Net& net, const OracleParams& p) {
       p.window_margin_frac * static_cast<double>(box.half_perimeter()));
   return box.inflated(margin);
 }
-
-}  // namespace
 
 OracleInstance::OracleInstance(const RoutingGrid& grid,
                                const CongestionCosts& costs, const Net& net,
@@ -74,12 +71,14 @@ OracleOutcome run_method(const OracleInstance& oi, SteinerMethod method,
     return out;
   }
 
-  // The embedded baselines poll cancellation too: once before the plane
-  // topology is built, then per embedding-DP node inside embed_topology.
+  // The embedded baselines poll cancellation and the deadline too: once
+  // before the plane topology is built, then per embedding-DP node inside
+  // embed_topology.
   if (controls != nullptr && controls->cancel != nullptr &&
       controls->cancel->load(std::memory_order_relaxed)) {
     throw SolveCancelled();
   }
+  throw_if_deadline_expired(controls);
   PlaneTopology topo;
   switch (method) {
     case SteinerMethod::kL1:

@@ -30,6 +30,11 @@ struct OracleParams {
   SolverOptions cd;  ///< cost-distance solver knobs (future_cost set per net)
 };
 
+/// The routing window a net's oracle instance is built on: the net's
+/// bounding box inflated by the params' margin. Not yet clipped to the grid
+/// (RoutingWindow clips it).
+Rect net_window_box(const Net& net, const OracleParams& params);
+
 /// One net's Steiner problem, materialized on a routing window with current
 /// congestion prices. Self-contained: owns the window and all vectors the
 /// embedded CostDistanceInstance points into. Movable (batch APIs store
@@ -86,10 +91,12 @@ struct OracleOutcome {
 
 /// Solves the materialized instance with the chosen method. `scratch`
 /// recycles cost-distance solver state across calls and `controls` wires in
-/// cancellation; both may be null (one-shot behavior). Every method honors
-/// `controls` — CD polls inside the solve, the embedded L1/SL/PD baselines
-/// poll before topology construction and at each embedding-DP node. Results
-/// do not depend on the scratch's history.
+/// cancellation and the deadline; both may be null (one-shot behavior).
+/// Every method honors `controls` — CD polls inside the solve, the embedded
+/// L1/SL/PD baselines poll before topology construction and at each
+/// embedding-DP node. A non-null `controls->pool` lets the embedding DP fan
+/// out over it. Results depend neither on the scratch's history nor on the
+/// pool.
 OracleOutcome run_method(const OracleInstance& oi, SteinerMethod method,
                          const OracleParams& params,
                          SolverScratch* scratch = nullptr,

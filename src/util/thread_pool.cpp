@@ -1,6 +1,6 @@
 #include "util/thread_pool.h"
 
-#include <atomic>
+#include <algorithm>
 
 #include "util/assert.h"
 #include "util/fault_injection.h"
@@ -8,20 +8,36 @@
 namespace cdst {
 namespace {
 
-/// Set while a pool worker (or a caller already inside parallel_for) is
-/// executing batch bodies; nested parallel_for calls then run inline
-/// serially instead of deadlocking on the pool's own workers.
-thread_local bool t_inside_batch = false;
+/// The pool whose batch body this thread is executing (null outside any
+/// batch). A parallel_for on that pool opens a nested batch; one on another
+/// pool runs inline serially, so no lane ever waits on another pool's
+/// lanes.
+thread_local const ThreadPool* t_batch_pool = nullptr;
+/// Set while this thread runs a submit() task: parallel_for and submit
+/// calls from inside it run inline serially.
+thread_local bool t_in_task = false;
 
 }  // namespace
 
 /// One parallel_for invocation: an atomic work cursor plus the first error.
 struct ThreadPool::Batch {
   std::atomic<std::size_t> next;
-  std::size_t end;
-  const std::function<void(std::size_t)>* body;
+  std::size_t end{0};
+  const std::function<void(std::size_t)>* body{nullptr};
+  /// Opening order, unique per pool (set under the pool's mu_ before the
+  /// batch is published). Newer batches are nested deeper or unrelated.
+  std::uint64_t seq{0};
+  /// Lanes other than the caller currently draining this batch. Guarded by
+  /// the pool's mu_ (a member of another object, so the guard is
+  /// convention, not analysis-checked); the caller waits for it to drop to
+  /// zero before the batch's stack frame dies.
+  int joiners{0};
   Mutex error_mu;
   std::exception_ptr error CDST_GUARDED_BY(error_mu);
+
+  bool has_work() const {
+    return next.load(std::memory_order_relaxed) < end;
+  }
 };
 
 ThreadPool::ThreadPool(int threads) {
@@ -54,17 +70,17 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::run_task(const std::function<void()>& task) {
-  // Tasks run with batch-nesting semantics: a parallel_for issued from
-  // inside a task runs inline serially, exactly like one issued from inside
-  // a batch body (the workers may all be busy with tasks).
-  const bool was_inside = t_inside_batch;
-  t_inside_batch = true;
+  // A parallel_for issued from inside a task runs inline serially: tasks
+  // never join batches, so the workers may all be busy with tasks and none
+  // would come to help.
+  const bool was_in_task = t_in_task;
+  t_in_task = true;
   task();
-  t_inside_batch = was_inside;
+  t_in_task = was_in_task;
 }
 
 void ThreadPool::submit(std::function<void()> task) {
-  if (workers_.empty() || t_inside_batch) {
+  if (workers_.empty() || t_in_task || t_batch_pool != nullptr) {
     run_task(task);
     return;
   }
@@ -75,12 +91,42 @@ void ThreadPool::submit(std::function<void()> task) {
   work_cv_.notify_one();
 }
 
+ThreadPool::Batch* ThreadPool::newest_joinable(std::uint64_t floor) {
+  for (auto it = open_.rbegin(); it != open_.rend() && (*it)->seq > floor;
+       ++it) {
+    if ((*it)->has_work()) return *it;
+  }
+  return nullptr;
+}
+
+void ThreadPool::help_newer(std::uint64_t floor) {
+  for (;;) {
+    Batch* batch = nullptr;
+    {
+      MutexLock lock(mu_);
+      batch = newest_joinable(floor);
+      if (batch == nullptr) return;
+      // Registered under the lock while the batch is still open: its caller
+      // closes it under the same lock and then waits for joiners to leave.
+      ++batch->joiners;
+    }
+    drain(*batch);
+    MutexLock lock(mu_);
+    if (--batch->joiners == 0) done_cv_.notify_all();
+  }
+}
+
 void ThreadPool::drain(Batch& batch) {
-  const bool was_inside = t_inside_batch;
-  t_inside_batch = true;
-  for (std::size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
-       i < batch.end;
-       i = batch.next.fetch_add(1, std::memory_order_relaxed)) {
+  const ThreadPool* const was = t_batch_pool;
+  t_batch_pool = this;
+  for (;;) {
+    // Help-first: a batch opened after this one is nested inside (or runs
+    // beside) it, so its indices are nearer the critical path than ours.
+    if (newest_seq_.load(std::memory_order_acquire) > batch.seq) {
+      help_newer(batch.seq);
+    }
+    const std::size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= batch.end) break;
     try {
       // Inside the try, before the body: an injected task fault takes the
       // exact first-error-wins unwind path a throwing body would. (submit()
@@ -96,11 +142,10 @@ void ThreadPool::drain(Batch& batch) {
       batch.next.store(batch.end, std::memory_order_relaxed);
     }
   }
-  t_inside_batch = was_inside;
+  t_batch_pool = was;
 }
 
 void ThreadPool::worker_main() {
-  std::uint64_t seen = 0;
   while (true) {
     Batch* batch = nullptr;
     std::function<void()> task;
@@ -108,19 +153,17 @@ void ThreadPool::worker_main() {
       MutexLock lock(mu_);
       // Open-coded wait loop: the thread-safety analysis sees the guarded
       // reads under mu_, which a predicate lambda would hide from it.
-      while (!(stop_ || (batch_ != nullptr && generation_ != seen) ||
-               !tasks_.empty())) {
+      while (!stop_ && (batch = newest_joinable(0)) == nullptr &&
+             tasks_.empty()) {
         work_cv_.wait(mu_);
       }
       if (stop_) return;  // leftover tasks run in the destructor
-      if (batch_ != nullptr && generation_ != seen) {
-        // A pending barrier outranks the task queue. Entry is registered
-        // under the lock: the barrier waits only for workers that actually
-        // joined this batch, so it never stalls behind a worker busy with a
-        // long fire-and-forget task it was never needed for.
-        seen = generation_;
-        batch = batch_;
-        ++workers_active_;
+      if (batch != nullptr) {
+        // An open batch outranks the task queue. Entry is registered under
+        // the lock: a caller waits only for workers that actually joined
+        // its batch, so it never stalls behind a worker busy with a long
+        // fire-and-forget task it was never needed for.
+        ++batch->joiners;
       } else {
         task = std::move(tasks_.front());
         tasks_.pop_front();
@@ -128,10 +171,8 @@ void ThreadPool::worker_main() {
     }
     if (batch != nullptr) {
       drain(*batch);
-      {
-        MutexLock lock(mu_);
-        if (--workers_active_ == 0) done_cv_.notify_all();
-      }
+      MutexLock lock(mu_);
+      if (--batch->joiners == 0) done_cv_.notify_all();
     } else {
       run_task(task);
     }
@@ -141,22 +182,13 @@ void ThreadPool::worker_main() {
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& body) {
   if (begin >= end) return;
-  // Serial fast paths: no workers, a single index, or a nested call from
-  // inside a running batch (the workers are all busy with the outer batch).
-  if (workers_.empty() || end - begin == 1 || t_inside_batch) {
-    std::exception_ptr error;
-    const bool was_inside = t_inside_batch;
-    t_inside_batch = true;
-    for (std::size_t i = begin; i < end; ++i) {
-      try {
-        body(i);
-      } catch (...) {
-        error = std::current_exception();
-        break;
-      }
-    }
-    t_inside_batch = was_inside;
-    if (error) std::rethrow_exception(error);
+  // Serial paths: no workers, a single index, or a call from inside a task
+  // or another pool's batch body. The body runs on this thread with its
+  // nesting context unchanged, so a single-index call made inside a batch
+  // still lets the body's own nested calls fan out.
+  if (workers_.empty() || end - begin == 1 || t_in_task ||
+      (t_batch_pool != nullptr && t_batch_pool != this)) {
+    for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }
 
@@ -166,20 +198,33 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   batch.body = &body;
   {
     MutexLock lock(mu_);
-    batch_ = &batch;
-    ++generation_;
-    // Workers register themselves on entry (worker_main); a worker that is
-    // busy with a task, or never wakes before the work runs out, simply
-    // never joins and is not waited for.
+    batch.seq = ++last_seq_;
+    open_.push_back(&batch);
+    newest_seq_.store(batch.seq, std::memory_order_release);
   }
+  // Idle workers join through worker_main; callers waiting on older
+  // batches' joiners may help too. Lanes busy in older batches see the new
+  // seq between their indices.
   work_cv_.notify_all();
+  done_cv_.notify_all();
   drain(batch);
   {
-    // Close the batch to new entrants, then wait for the workers that did
-    // join to leave before its stack state dies.
+    // Every index is claimed: close the batch to new entrants.
     MutexLock lock(mu_);
-    batch_ = nullptr;
-    while (workers_active_ != 0) done_cv_.wait(mu_);
+    open_.erase(std::find(open_.begin(), open_.end(), &batch));
+    newest_seq_.store(open_.empty() ? 0 : open_.back()->seq,
+                      std::memory_order_release);
+  }
+  // Wait for the lanes that did join to leave before the batch's stack
+  // state dies, helping newer batches meanwhile (a joiner may be inside an
+  // index that itself fanned out).
+  for (;;) {
+    help_newer(batch.seq);
+    MutexLock lock(mu_);
+    while (batch.joiners != 0 && newest_joinable(batch.seq) == nullptr) {
+      done_cv_.wait(mu_);
+    }
+    if (batch.joiners == 0) break;
   }
   std::exception_ptr error;
   {

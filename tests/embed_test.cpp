@@ -6,10 +6,12 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "embed/embedder.h"
 #include "embed/enumerate.h"
@@ -20,6 +22,7 @@
 #include "topology/rsmt.h"
 #include "topology/shallow_light.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace cdst {
 namespace {
@@ -389,6 +392,138 @@ TEST(Embed, CancellationUnwindsBeforeAnyPropagation) {
                         reference_embed(topo, gi.inst), "flag clear");
   cancel.store(true);
   EXPECT_THROW(embed_topology(topo, gi.inst, &controls), SolveCancelled);
+}
+
+TEST(Embed, ExpiredDeadlineUnwinds) {
+  // The deadline is polled where the flag is; an expired one unwinds with
+  // SolveDeadlineExceeded, a generous one leaves the result untouched.
+  const GridInstance gi = make_instance(9, 8, 8, 3, 6);
+  const PlaneTopology topo = mixed_topology(gi);
+  SolveControls controls;
+  controls.deadline =
+      std::chrono::steady_clock::now() + std::chrono::minutes(10);
+  expect_same_embedding(embed_topology(topo, gi.inst, &controls),
+                        reference_embed(topo, gi.inst), "generous deadline");
+  controls.deadline =
+      std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+  EXPECT_THROW(embed_topology(topo, gi.inst, &controls),
+               SolveDeadlineExceeded);
+}
+
+// ------------------------------------------------- node-parallel DP
+
+/// root -> sink 0 -> sink 1 -> ...: one node per height, so every level is
+/// a single-index batch.
+PlaneTopology chain_topology(const GridInstance& gi) {
+  PlaneTopology t;
+  t.nodes.push_back(PlaneTopology::Node{gi.root_xy, -1, -1});
+  for (std::size_t s = 0; s < gi.plane_sinks.size(); ++s) {
+    t.nodes.push_back(PlaneTopology::Node{gi.plane_sinks[s].pos,
+                                          static_cast<std::int32_t>(s),
+                                          static_cast<std::int32_t>(s)});
+  }
+  return t;
+}
+
+/// Every sink plus `steiner` Steiner nodes, shuffled and each hung under a
+/// uniformly drawn earlier node, then canonicalized (no Steiner leaves or
+/// pass-through Steiner nodes remain): uneven heights, sinks with children,
+/// Steiner nodes under Steiner nodes.
+PlaneTopology random_topology(const GridInstance& gi, std::uint64_t seed,
+                              std::size_t steiner) {
+  Rng rng(seed);
+  std::vector<std::int32_t> labels;  // sink index, or -1 for Steiner
+  for (std::size_t s = 0; s < gi.plane_sinks.size(); ++s) {
+    labels.push_back(static_cast<std::int32_t>(s));
+  }
+  labels.insert(labels.end(), steiner, -1);
+  for (std::size_t k = labels.size(); k > 1; --k) {
+    std::swap(labels[k - 1], labels[rng.uniform(k)]);
+  }
+  PlaneTopology t;
+  t.nodes.push_back(PlaneTopology::Node{gi.root_xy, -1, -1});
+  for (const std::int32_t label : labels) {
+    const Point2 pos =
+        label >= 0 ? gi.plane_sinks[static_cast<std::size_t>(label)].pos
+                   : gi.root_xy;
+    const auto parent = static_cast<std::int32_t>(rng.uniform(t.nodes.size()));
+    t.nodes.push_back(PlaneTopology::Node{pos, parent, label});
+  }
+  t.canonicalize();
+  t.validate(gi.plane_sinks.size());
+  return t;
+}
+
+TEST(Embed, PooledDpIsBitIdenticalToSerialAtAnyLaneCount) {
+  GridInstance gi = make_instance(77, 20, 20, 4, 24, /*dbif=*/1.5);
+  const ArcCostView plane(*gi.inst.graph, gi.cost, gi.delay);
+  gi.inst.arc_costs = &plane;
+  std::vector<std::pair<std::string, PlaneTopology>> topos;
+  topos.emplace_back("chain", chain_topology(gi));
+  topos.emplace_back("star", star_topology(gi.root_xy, gi.plane_sinks));
+  topos.emplace_back("rsmt", rsmt_topology(gi.root_xy, gi.plane_sinks));
+  topos.emplace_back("prim-dijkstra",
+                     prim_dijkstra_topology(gi.root_xy, gi.plane_sinks, {}));
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    topos.emplace_back("random " + std::to_string(seed),
+                       random_topology(gi, seed, 12));
+  }
+  std::vector<EmbedResult> want;
+  for (const auto& [name, topo] : topos) {
+    want.push_back(embed_topology(topo, gi.inst));
+  }
+
+  for (const int lanes : {1, 2, 4}) {
+    ThreadPool pool(lanes);
+    SolveControls controls;
+    controls.pool = &pool;
+    const std::string at = std::to_string(lanes) + " lanes, ";
+    // Called from outside the pool: each level is a top-level batch.
+    for (std::size_t k = 0; k < topos.size(); ++k) {
+      expect_same_embedding(embed_topology(topos[k].second, gi.inst,
+                                           &controls),
+                            want[k], at + "top level, " + topos[k].first);
+    }
+    // Called from inside one outer batch (the Router's per-net oracle):
+    // each level is a nested batch that lanes done with their own
+    // topology join.
+    std::vector<EmbedResult> got(topos.size());
+    pool.parallel_for(0, topos.size(), [&](std::size_t k) {
+      got[k] = embed_topology(topos[k].second, gi.inst, &controls);
+    });
+    for (std::size_t k = 0; k < topos.size(); ++k) {
+      expect_same_embedding(got[k], want[k], at + "nested, " + topos[k].first);
+    }
+  }
+}
+
+TEST(Embed, PooledDpUnwindsOnCancellationRaisedMidLevel) {
+  // A star is a single level: every sink's propagation is one index of one
+  // parallel_for. The flag goes up while that level runs (a tenth of the
+  // serial DP's time in, far less than the level's length on 4 lanes); the
+  // level's remaining nodes are abandoned and the call unwinds with
+  // SolveCancelled. With the flag cleared, the same pool reproduces the
+  // serial result.
+  const GridInstance gi = make_instance(5, 40, 40, 4, 64);
+  const PlaneTopology star = star_topology(gi.root_xy, gi.plane_sinks);
+  const auto t0 = std::chrono::steady_clock::now();
+  const EmbedResult want = embed_topology(star, gi.inst);
+  const auto serial = std::chrono::steady_clock::now() - t0;
+
+  ThreadPool pool(4);
+  std::atomic<bool> cancel{false};
+  SolveControls controls;
+  controls.cancel = &cancel;
+  controls.pool = &pool;
+  std::thread raiser([&] {
+    std::this_thread::sleep_for(serial / 10);
+    cancel.store(true);
+  });
+  EXPECT_THROW(embed_topology(star, gi.inst, &controls), SolveCancelled);
+  raiser.join();
+  cancel.store(false);
+  expect_same_embedding(embed_topology(star, gi.inst, &controls), want,
+                        "after a cancelled call");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EmbedSeeds,

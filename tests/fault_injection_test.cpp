@@ -311,6 +311,49 @@ TEST(Deadline, RouterDeadlineStopsAtRoundBoundaryAndSessionRecovers) {
   expect_same_routing(timed.result(), want);
 }
 
+TEST(Deadline, PdRouterDeadlineMidBatchRollsTheBatchBack) {
+  // The PD oracle's embedding DP polls the deadline per node, so a deadline
+  // that expires while a batch runs unwinds it (mid-net or between nets):
+  // kDeadlineExceeded, the batch rolled back to its pre-rip-up routes, and
+  // the session resumes bit-identically. One batch per round; the deadline
+  // is a quarter of a measured round away.
+  ChipConfig c = small_chip();
+  c.num_nets = 120;
+  c.nx = c.ny = 24;
+  c.num_layers = 4;
+  const RoutingGrid grid = make_chip_grid(c);
+  const Netlist nl = generate_netlist(c, grid);
+  RouterOptions opts;
+  opts.method = SteinerMethod::kPD;
+  opts.seed = 5;
+  opts.threads = 4;
+  opts.batch_size = static_cast<int>(nl.nets.size());
+
+  Router ref(grid, nl, opts);
+  ASSERT_TRUE(ref.run(1).ok());
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(ref.run(1).ok());
+  const auto round_time = std::chrono::steady_clock::now() - t0;
+  const RouterResult want = ref.result();
+
+  Router session(grid, nl, opts);
+  ASSERT_TRUE(session.run(1).ok());
+  const RouterResult before = session.result();
+  RunControl control;
+  control.deadline = std::chrono::steady_clock::now() + round_time / 4;
+  const Status st = session.run(1, control);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(session.rounds_completed(), 1);
+  const RouterResult rolled_back = session.result();
+  EXPECT_EQ(rolled_back.routes, before.routes);
+  EXPECT_EQ(rolled_back.sink_delays, before.sink_delays);
+  EXPECT_EQ(rolled_back.congestion.ace4, before.congestion.ace4);
+
+  ASSERT_TRUE(session.run(1).ok());
+  expect_same_routing(session.result(), want);
+}
+
 // ------------------------------------------------------------ strict budget
 
 TEST(Budget, StrictSharedBudgetYieldsResourceExhausted) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
 #include <utility>
 
 #include "api/router.h"
@@ -10,6 +12,7 @@
 #include "route/netlist_gen.h"
 #include "route/router.h"
 #include "route/steiner_oracle.h"
+#include "topology/prim_dijkstra.h"
 
 namespace cdst {
 namespace {
@@ -122,6 +125,41 @@ TEST(SteinerOracle, AllMethodsRouteAndCommitUsage) {
   for (ResourceId r = 0; r < costs.num_resources(); ++r) {
     EXPECT_DOUBLE_EQ(costs.usage(r), 0.0);
   }
+}
+
+TEST(SteinerOracle, EmbeddedMethodsHonorAnExpiredDeadline) {
+  // L1/SL/PD poll the deadline where they poll cancellation: before the
+  // plane topology is built and per embedding-DP node.
+  const ChipConfig c = tiny_chip();
+  const RoutingGrid grid = make_chip_grid(c);
+  const Netlist nl = generate_netlist(c, grid);
+  CongestionCosts costs(grid);
+  const Net* net = nullptr;
+  for (const Net& n : nl.nets) {
+    if (n.sinks.size() >= 4) {
+      net = &n;
+      break;
+    }
+  }
+  ASSERT_NE(net, nullptr);
+  const std::vector<double> weights(net->sinks.size(), 0.01);
+  const OracleParams params;
+  const OracleInstance oi(grid, costs, *net, weights, params);
+  SolveControls expired;
+  expired.deadline =
+      std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+  for (const SteinerMethod m :
+       {SteinerMethod::kL1, SteinerMethod::kSL, SteinerMethod::kPD}) {
+    EXPECT_THROW(run_method(oi, m, params, nullptr, &expired),
+                 SolveDeadlineExceeded)
+        << method_name(m);
+  }
+  PrimDijkstraParams pd;
+  pd.delay_per_unit = oi.delay_per_unit();
+  const PlaneTopology topo =
+      prim_dijkstra_topology(oi.root_xy(), oi.plane_sinks(), pd);
+  EXPECT_THROW(embed_topology(topo, oi.instance(), &expired),
+               SolveDeadlineExceeded);
 }
 
 TEST(SteinerOracle, InstanceMapsPinsIntoWindow) {
@@ -283,6 +321,37 @@ TEST(Router, ResultsAreThreadCountInvariant) {
     for (std::size_t s = 0; s < one.sink_delays.size(); ++s) {
       EXPECT_DOUBLE_EQ(one.sink_delays[s], other->sink_delays[s])
           << "sink " << s;
+    }
+  }
+}
+
+TEST(Router, EmbeddedMethodsAreThreadCountInvariant) {
+  // The L1/SL/PD oracles fan their embedding DP out over the router's pool
+  // (nested inside the batch or shard lanes), and batches hand nets out
+  // longest-first: neither may change a bit of the result, batched or
+  // sharded.
+  const ChipConfig c = tiny_chip();
+  const RoutingGrid grid = make_chip_grid(c);
+  const Netlist nl = generate_netlist(c, grid);
+  for (const SteinerMethod m :
+       {SteinerMethod::kL1, SteinerMethod::kSL, SteinerMethod::kPD}) {
+    for (const int shards : {0, 4}) {
+      RouterOptions opts;
+      opts.method = m;
+      opts.batch_size = 16;
+      opts.shards = shards;
+      opts.threads = 1;
+      const RouterResult one = route_rounds(grid, nl, opts, 2);
+      for (const int threads : {2, 4}) {
+        SCOPED_TRACE(std::string(method_name(m)) + ", shards " +
+                     std::to_string(shards) + ", threads " +
+                     std::to_string(threads));
+        opts.threads = threads;
+        const RouterResult other = route_rounds(grid, nl, opts, 2);
+        EXPECT_EQ(one.routes, other.routes);
+        EXPECT_EQ(one.sink_delays, other.sink_delays);
+        EXPECT_EQ(one.sink_weights, other.sink_weights);
+      }
     }
   }
 }

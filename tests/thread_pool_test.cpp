@@ -1,17 +1,21 @@
 // Tests for the persistent worker pool behind the router's batch loop:
 // correctness of the parallel-for work distribution, reuse across many
-// waves, nested submits, exception propagation, and the serial degenerate
-// case.
+// waves, nested fork-join batches and the lanes that help them, nested
+// submits, exception propagation, and the serial degenerate case.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "stress.h"
+#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
 namespace cdst {
@@ -68,12 +72,110 @@ TEST(ThreadPool, NestedSubmitsRunInline) {
   std::vector<std::atomic<int>> hits(kOuter * kInner);
   pool.parallel_for(0, kOuter, [&](std::size_t o) {
     // A nested parallel_for from inside a worker must not deadlock on the
-    // pool's own (busy) workers; it runs serially inline.
+    // pool's own (busy) workers: it opens a child batch that the caller
+    // drains itself and other lanes may join.
     pool.parallel_for(0, kInner,
                       [&](std::size_t i) { ++hits[o * kInner + i]; });
   });
   for (std::size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "slot " << i;
+  }
+}
+
+TEST(ThreadPool, IdleLanesJoinANestedBatch) {
+  // One outer index is light and one fans out. Once the light one is done
+  // (and the outer batch has no index left to claim), idle lanes must join
+  // the nested batch instead of waiting at the outer barrier.
+  ThreadPool pool(4);
+  Mutex mu;
+  std::set<std::thread::id> inner_threads;
+  std::atomic<int> inner_runs{0};
+  pool.parallel_for(0, 2, [&](std::size_t o) {
+    if (o == 0) return;
+    pool.parallel_for(0, 200, [&](std::size_t) {
+      {
+        MutexLock lock(mu);
+        inner_threads.insert(std::this_thread::get_id());
+      }
+      ++inner_runs;
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    });
+  });
+  EXPECT_EQ(inner_runs.load(), 200);
+  MutexLock lock(mu);
+  EXPECT_GE(inner_threads.size(), 2u)
+      << "no idle lane joined the nested batch";
+}
+
+TEST(ThreadPool, NestedExceptionPropagatesAndAbandonsOuterBatch) {
+  // Every outer index fans out, and one index of every nested batch throws.
+  // The nested batch's first error reaches its caller (the outer body),
+  // which throws it on; the outer batch then abandons its remaining
+  // indices, so at most one outer index per lane ever starts.
+  ThreadPool pool(4);
+  std::atomic<int> outer_started{0};
+  std::atomic<int> inner_runs{0};
+  try {
+    pool.parallel_for(0, 100000, [&](std::size_t) {
+      ++outer_started;
+      pool.parallel_for(0, 16, [&](std::size_t i) {
+        ++inner_runs;
+        if (i == 5) throw std::logic_error("nested");
+      });
+    });
+    FAIL() << "expected the nested batch's exception";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "nested");
+  }
+  EXPECT_LE(outer_started.load(), pool.concurrency());
+  EXPECT_GE(inner_runs.load(), 1);
+  // The pool survives and keeps working.
+  std::atomic<int> count{0};
+  pool.parallel_for(0, 100, [&](std::size_t) { ++count; });
+  EXPECT_EQ(count.load(), 100);
+}
+
+TEST(ThreadPool, ThreeLevelNestingCompletes) {
+  ThreadPool pool(4);
+  constexpr std::size_t kA = 6, kB = 7, kC = 9;
+  std::vector<std::atomic<int>> hits(kA * kB * kC);
+  const int reps = testutil::stress_iters(20, 4);
+  for (int rep = 0; rep < reps; ++rep) {
+    pool.parallel_for(0, kA, [&](std::size_t a) {
+      pool.parallel_for(0, kB, [&](std::size_t b) {
+        pool.parallel_for(0, kC, [&](std::size_t c) {
+          ++hits[(a * kB + b) * kC + c];
+        });
+      });
+    });
+  }
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), reps) << "slot " << i;
+  }
+}
+
+TEST(ThreadPool, ParallelForInsideSubmittedTaskRunsInline) {
+  // Tasks never join batches, so a batch opened from a task could wait on
+  // workers that are all busy with tasks: it runs inline on the task's
+  // thread, in index order.
+  ThreadPool pool(4);
+  std::promise<void> done;
+  std::thread::id task_thread;
+  std::vector<std::thread::id> body_threads(64);
+  std::vector<std::size_t> order;
+  pool.submit([&] {
+    task_thread = std::this_thread::get_id();
+    pool.parallel_for(0, body_threads.size(), [&](std::size_t i) {
+      body_threads[i] = std::this_thread::get_id();
+      order.push_back(i);
+    });
+    done.set_value();
+  });
+  done.get_future().wait();
+  ASSERT_EQ(order.size(), body_threads.size());
+  for (std::size_t i = 0; i < body_threads.size(); ++i) {
+    EXPECT_EQ(body_threads[i], task_thread) << "index " << i;
+    EXPECT_EQ(order[i], i);
   }
 }
 
