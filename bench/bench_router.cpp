@@ -19,6 +19,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "api/cdst.h"
@@ -124,7 +125,7 @@ BENCHMARK(BM_Router_Embedded)
     ->Unit(benchmark::kMillisecond);
 
 /// The layer the nested pool speeds up: the embedding DP of the fixture's
-/// largest net (largest clipped window, then most sinks) under its PD
+/// largest net (largest window, then most sinks) under its PD
 /// topology, on a fresh price plane with the session's initial
 /// multipliers. arg 1: serial (no pool); arg 4: each height level fanned
 /// out on a 4-lane pool. The instance and topology are built untimed.
@@ -132,27 +133,34 @@ void BM_Embed_Heavy(benchmark::State& state) {
   const int lanes = static_cast<int>(state.range(0));
   const Fixture& f = fixture();
   const RouterOptions opts = options_for(/*shards=*/0);
-  const auto size = [&](const Net& net) {
-    const Rect box = clip_to_grid(f.grid, net_window_box(net, opts.oracle));
-    return std::pair((box.width() + 1) * (box.height() + 1),
-                     net.sinks.size());
+  const RouterResult initial = Router(f.grid, f.netlist, opts).result();
+  const CongestionCosts costs(f.grid, opts.congestion);
+  const auto oracle = [&](std::size_t i, std::size_t offset) {
+    const Net& net = f.netlist.nets[i];
+    return OracleInstance(
+        f.grid, costs, net,
+        std::span<const double>(initial.sink_weights.data() + offset,
+                                net.sinks.size()),
+        opts.oracle);
   };
   std::size_t heavy = 0;
-  for (std::size_t i = 1; i < f.netlist.nets.size(); ++i) {
-    if (size(f.netlist.nets[i]) > size(f.netlist.nets[heavy])) heavy = i;
-  }
-  const RouterResult initial = Router(f.grid, f.netlist, opts).result();
-  std::size_t offset = 0;
-  for (std::size_t i = 0; i < heavy; ++i) {
-    offset += f.netlist.nets[i].sinks.size();
+  std::size_t heavy_offset = 0;
+  std::pair<std::size_t, std::size_t> heavy_size{0, 0};
+  for (std::size_t i = 0, offset = 0; i < f.netlist.nets.size(); ++i) {
+    const std::size_t sinks = f.netlist.nets[i].sinks.size();
+    if (sinks > 0) {
+      const std::pair<std::size_t, std::size_t> size(
+          oracle(i, offset).window().graph().num_vertices(), sinks);
+      if (size > heavy_size) {
+        heavy = i;
+        heavy_offset = offset;
+        heavy_size = size;
+      }
+    }
+    offset += sinks;
   }
   const Net& net = f.netlist.nets[heavy];
-  const CongestionCosts costs(f.grid, opts.congestion);
-  const OracleInstance oi(
-      f.grid, costs, net,
-      std::span<const double>(initial.sink_weights.data() + offset,
-                              net.sinks.size()),
-      opts.oracle);
+  const OracleInstance oi = oracle(heavy, heavy_offset);
   PrimDijkstraParams pd;
   pd.gamma = opts.oracle.pd_gamma;
   pd.delay_per_unit = oi.delay_per_unit();

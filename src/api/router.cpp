@@ -692,29 +692,6 @@ struct Router::Impl {
     return Status::Ok();
   }
 
-  /// Hand-out order of the batch [lo, hi): decreasing sinks x clipped
-  /// window area (the work of a net's oracle grows with both), ties by net
-  /// index. The heaviest net starts first, and the lanes that finish the
-  /// lighter ones join its embedding DP's levels as the batch drains.
-  /// Outcomes are slotted by net index, so the order changes scheduling
-  /// only.
-  void longest_first(std::size_t lo, std::size_t hi,
-                     std::vector<std::size_t>& order) const {
-    std::vector<std::pair<std::int64_t, std::size_t>> keyed;
-    keyed.reserve(hi - lo);
-    for (std::size_t i = lo; i < hi; ++i) {
-      const Net& net = netlist.nets[i];
-      const Rect box =
-          clip_to_grid(grid, net_window_box(net, options.oracle));
-      const std::int64_t area = (box.width() + 1) * (box.height() + 1);
-      keyed.emplace_back(
-          -static_cast<std::int64_t>(net.sinks.size()) * area, i);
-    }
-    std::sort(keyed.begin(), keyed.end());
-    order.clear();
-    for (const auto& [key, i] : keyed) order.push_back(i);
-  }
-
   /// The legacy batched round discipline (RouterOptions::shards == 0).
   Status route_round_batched(int round, int target_rounds,
                              const RunControl& control,
@@ -725,7 +702,6 @@ struct Router::Impl {
     // The pool rides along so a heavy net's embedding DP can fan its height
     // levels out to lanes whose own nets are done.
     const SolveControls controls = detail::make_solve_controls(control, pool);
-    std::vector<std::size_t> order;
 
     for (std::size_t lo = 0; lo < num_nets; lo += batch) {
       const std::size_t hi = std::min(num_nets, lo + batch);
@@ -743,10 +719,8 @@ struct Router::Impl {
         if (!routes[i].empty()) costs.add_usage(routes[i], -1.0);
       }
       std::vector<OracleOutcome> outcomes(hi - lo);
-      longest_first(lo, hi, order);
       const std::function<void(std::size_t)> route_one =
-          [&](std::size_t k) {
-            const std::size_t i = order[k];
+          [&](std::size_t i) {
             if (netlist.nets[i].sinks.empty()) return;
             if (controls.cancel != nullptr &&
                 controls.cancel->load(std::memory_order_relaxed)) {
@@ -759,7 +733,7 @@ struct Router::Impl {
                 route_one_net(i, round, /*pricing=*/nullptr, controls);
           };
       try {
-        pool->parallel_for(0, hi - lo, route_one);
+        pool->parallel_for(lo, hi, route_one);
       } catch (...) {
         // Restore the batch's pre-rip-up routes so the session stays a
         // coherent snapshot, whatever unwound the batch.

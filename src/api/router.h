@@ -170,8 +170,9 @@ class Router {
 /// serially — see util/thread_pool.h — so the pump stays outside the pool
 /// by design; inside a batch body, by contrast, a nested parallel_for opens
 /// a child batch that idle lanes help with, which is how a heavy net's
-/// embedding DP spreads over lanes whose own nets are done). Determinism is inherited, not re-proven: each step() is
-/// a run(1), and run() guarantees any split of N rounds is bit-identical.
+/// embedding DP spreads over lanes whose own nets are done). Determinism is
+/// inherited, not re-proven: each step() is a run(1), and run() guarantees
+/// any split of N rounds is bit-identical.
 ///
 /// step()'s Status is the slice's run() Status; kCancelled /
 /// kDeadlineExceeded / kUnavailable leave the session at the last round

@@ -306,7 +306,11 @@ struct SolveControls {
   /// Pool the solve may fan its own work out on (nullable, borrowed). The
   /// embedding DP (embed/embedder.h) runs each height level of its topology
   /// as one parallel_for on it; the cost-distance solver ignores it.
-  /// Process-local: it never crosses the dist wire.
+  /// Process-local: it never crosses the dist wire. It is an explicit
+  /// opt-in rather than "whichever pool's batch this thread is in" because
+  /// callers that run one solve per batch index and time each index on its
+  /// lane (a traced replay, for instance) need every node of that solve to
+  /// run on that lane; the Router opts in, everything else stays serial.
   ThreadPool* pool{nullptr};
 };
 

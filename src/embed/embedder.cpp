@@ -177,17 +177,13 @@ EmbedResult embed_topology(const PlaneTopology& topo,
       height[p] = std::max(height[p], height[i] + 1);
     }
   }
-  // Within a level, nodes under a Steiner parent (full propagations, the
-  // longest tasks) go first, so they start before the short bounded ones.
+  // A node under a Steiner parent runs a full propagation.
   const auto full = [&](std::size_t i) {
     return pin[static_cast<std::size_t>(topo.nodes[i].parent)] ==
            kInvalidVertex;
   };
   std::vector<std::vector<std::size_t>> levels(nn > 1 ? height[0] : 0);
   for (std::size_t i = nn; i-- > 1;) levels[height[i]].push_back(i);
-  for (std::vector<std::size_t>& level : levels) {
-    std::stable_partition(level.begin(), level.end(), full);
-  }
 
   // Bottom-up DP. Node i's table F_i is the sum of its children's
   // propagations, restricted to its pin if it has one; it seeds one
@@ -230,10 +226,12 @@ EmbedResult embed_topology(const PlaneTopology& topo,
       for (VertexId v = 0; v < n; ++v) {
         if (fi[v] < kInf) {
           // The backtrack walks each child's parent edges from wherever
-          // this node lands, with no dist left to check reachability: a
-          // finite sum means every child reached v.
+          // this node lands, with no dist left to check reachability. A
+          // finite sum of non-negative labels means every child reached v;
+          // checking it here keeps that a release-build guarantee.
           for (std::size_t k = 1; k < ch[i].size(); ++k) {
-            CDST_ASSERT(dist[static_cast<std::size_t>(ch[i][k])][v] < kInf);
+            CDST_CHECK_MSG(dist[static_cast<std::size_t>(ch[i][k])][v] < kInf,
+                           "embedding backtrack would hit unreached vertex");
           }
           seeds.emplace_back(v, fi[v]);
         }

@@ -21,11 +21,11 @@
 /// seed vertex, edge path}; a pinned node seeds its own search with the
 /// single label (pin, F_i(pin)). Only nodes under a Steiner parent run a
 /// full search. Their dist arrays return to a free list local to the call
-/// once the parent has summed them, and their predecessor arrays as soon
-/// as the search ends: the backtrack walks parent edges (the predecessor is
-/// the edge's other end), so a Steiner child keeps 4 bytes per window
-/// vertex. The bounded searches of one task share one set of labels and
-/// one heap and reset only the vertices they labelled.
+/// once the parent has summed them. No search keeps a predecessor array:
+/// the backtrack walks parent edges (the predecessor is the edge's other
+/// end), so a Steiner child keeps 4 bytes per window vertex. The bounded
+/// searches of one task share one set of labels and one heap and reset only
+/// the vertices they labelled.
 ///
 /// This is exact, not an approximation: up to the pop of the target, a
 /// stopped search performs the same heap operations in the same order as

@@ -53,18 +53,18 @@ namespace cdst {
 struct DijkstraResult {
   std::vector<double> dist;          ///< distance per vertex (inf if unreached)
   std::vector<EdgeId> parent_edge;   ///< edge towards the source tree
-  std::vector<VertexId> parent;      ///< predecessor vertex
 
   static constexpr double kInf = std::numeric_limits<double>::infinity();
 
   bool reached(VertexId v) const { return dist[v] < kInf; }
 
   /// Path from a source to v as a list of edge ids (source-to-v order).
-  std::vector<EdgeId> path_edges(VertexId v) const {
+  /// A labelled vertex's predecessor is the other end of its parent edge.
+  std::vector<EdgeId> path_edges(const Graph& g, VertexId v) const {
     std::vector<EdgeId> out;
     while (parent_edge[v] != kInvalidEdge) {
       out.push_back(parent_edge[v]);
-      v = parent[v];
+      v = g.other_end(parent_edge[v], v);
     }
     std::reverse(out.begin(), out.end());
     return out;
@@ -164,9 +164,7 @@ concept ArcPlaneLength = requires(const T& t, std::uint32_t a) {
 ///
 /// `r.dist` must arrive all-inf. Parent entries are written for every vertex
 /// the search labels (invalid at seeds), so stale ones at unlabelled
-/// vertices are never read. `r.parent` may be left empty: the search then
-/// records parent edges only (a labelled vertex's predecessor is the other
-/// end of its parent edge). `heap` must be empty and is left empty; a
+/// vertices are never read. `heap` must be empty and is left empty; a
 /// cleared heap behaves exactly like a fresh one, so callers running many
 /// searches reuse one. If `labelled` is non-null, every vertex whose dist
 /// the search sets is appended to it once, so the caller can reset just
@@ -187,20 +185,18 @@ void dijkstra_search(const Graph& g,
                      DijkstraResult& r, BinaryHeap<double>& heap,
                      std::vector<VertexId>* labelled = nullptr) {
   CDST_ASSERT(heap.empty());
-  const bool track_parent = !r.parent.empty();
   // Commits an improved label; shared by the seeding and all relax paths.
-  const auto improve = [&](VertexId v, double d, EdgeId via, VertexId from) {
+  const auto improve = [&](VertexId v, double d, EdgeId via) {
     if (labelled != nullptr && r.dist[v] == DijkstraResult::kInf) {
       labelled->push_back(v);
     }
     r.dist[v] = d;
     r.parent_edge[v] = via;
-    if (track_parent) r.parent[v] = from;
     heap.push_or_decrease(v, d);
   };
   for (const auto& [v, d] : seeds) {
     CDST_CHECK(v < g.num_vertices());
-    if (d < r.dist[v]) improve(v, d, kInvalidEdge, kInvalidVertex);
+    if (d < r.dist[v]) improve(v, d, kInvalidEdge);
   }
 
   bool arc_plane = false;
@@ -251,7 +247,7 @@ void dijkstra_search(const Graph& g,
               improve_mask &= improve_mask - 1;
               const VertexId to = heads[s + k];
               CDST_ASSERT(nd[k] >= du);
-              if (nd[k] < r.dist[to]) improve(to, nd[k], edges[s + k], u);
+              if (nd[k] < r.dist[to]) improve(to, nd[k], edges[s + k]);
             }
             continue;
           }
@@ -262,7 +258,7 @@ void dijkstra_search(const Graph& g,
           for (std::uint32_t k = 0; k < cnt; ++k) {
             const VertexId to = heads[s + k];
             CDST_ASSERT(nd[k] >= du);
-            if (nd[k] < r.dist[to]) improve(to, nd[k], edges[s + k], u);
+            if (nd[k] < r.dist[to]) improve(to, nd[k], edges[s + k]);
           }
         }
         continue;
@@ -273,7 +269,7 @@ void dijkstra_search(const Graph& g,
       const double w = length(a.edge);
       CDST_ASSERT(w >= 0.0);
       const double nd = du + w;
-      if (nd < r.dist[a.to]) improve(a.to, nd, a.edge, u);
+      if (nd < r.dist[a.to]) improve(a.to, nd, a.edge);
     }
   }
   heap.clear();
@@ -289,7 +285,6 @@ DijkstraResult dijkstra_with_initial_labels(
   DijkstraResult r;
   r.dist.assign(n, DijkstraResult::kInf);
   r.parent_edge.assign(n, kInvalidEdge);
-  r.parent.assign(n, kInvalidVertex);
   BinaryHeap<double> heap;
   heap.reserve(n);
   dijkstra_search(g, seeds, length, target, r, heap);

@@ -5,19 +5,15 @@
 
 namespace cdst {
 
-Rect clip_to_grid(const RoutingGrid& grid, Rect box) {
-  box.xlo = std::max(box.xlo, 0);
-  box.ylo = std::max(box.ylo, 0);
-  box.xhi = std::min(box.xhi, grid.nx() - 1);
-  box.yhi = std::min(box.yhi, grid.ny() - 1);
-  return box;
-}
-
 RoutingWindow::RoutingWindow(const RoutingGrid& grid,
                              const CongestionCosts& costs, Rect box,
                              const RoundPricing* pricing)
     : grid_(&grid) {
-  box = clip_to_grid(grid, box);
+  // Clip to the grid.
+  box.xlo = std::max(box.xlo, 0);
+  box.ylo = std::max(box.ylo, 0);
+  box.xhi = std::min(box.xhi, grid.nx() - 1);
+  box.yhi = std::min(box.yhi, grid.ny() - 1);
   CDST_CHECK_MSG(!box.empty(), "routing window does not intersect the grid");
   box_ = box;
   wx_ = static_cast<std::int32_t>(box.width()) + 1;

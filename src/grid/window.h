@@ -33,10 +33,6 @@ struct RoundPricing {
   const SparseMap<double>* excluded_usage{nullptr};
 };
 
-/// `box` clipped to the grid's extent: the region a RoutingWindow built on
-/// `box` covers (it may be empty if `box` misses the grid).
-Rect clip_to_grid(const RoutingGrid& grid, Rect box);
-
 class RoutingWindow {
  public:
   /// Builds the subgraph of `grid` over gcells in `box` (clipped to the

@@ -7,6 +7,7 @@
 #include "topology/shallow_light.h"
 
 namespace cdst {
+namespace {
 
 Rect net_window_box(const Net& net, const OracleParams& p) {
   Rect box;
@@ -17,6 +18,8 @@ Rect net_window_box(const Net& net, const OracleParams& p) {
       p.window_margin_frac * static_cast<double>(box.half_perimeter()));
   return box.inflated(margin);
 }
+
+}  // namespace
 
 OracleInstance::OracleInstance(const RoutingGrid& grid,
                                const CongestionCosts& costs, const Net& net,

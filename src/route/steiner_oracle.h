@@ -30,11 +30,6 @@ struct OracleParams {
   SolverOptions cd;  ///< cost-distance solver knobs (future_cost set per net)
 };
 
-/// The routing window a net's oracle instance is built on: the net's
-/// bounding box inflated by the params' margin. Not yet clipped to the grid
-/// (RoutingWindow clips it).
-Rect net_window_box(const Net& net, const OracleParams& params);
-
 /// One net's Steiner problem, materialized on a routing window with current
 /// congestion prices. Self-contained: owns the window and all vectors the
 /// embedded CostDistanceInstance points into. Movable (batch APIs store

@@ -258,7 +258,7 @@ EmbedResult reference_embed(const PlaneTopology& topo,
     std::vector<EdgeId> path_up;
     while (r.parent_edge[at] != kInvalidEdge) {
       path_up.push_back(r.parent_edge[at]);
-      at = r.parent[at];
+      at = g.other_end(r.parent_edge[at], at);
     }
     std::reverse(path_up.begin(), path_up.end());
     placed[i] = at;
@@ -499,11 +499,13 @@ TEST(Embed, PooledDpIsBitIdenticalToSerialAtAnyLaneCount) {
 
 TEST(Embed, PooledDpUnwindsOnCancellationRaisedMidLevel) {
   // A star is a single level: every sink's propagation is one index of one
-  // parallel_for. The flag goes up while that level runs (a tenth of the
-  // serial DP's time in, far less than the level's length on 4 lanes); the
-  // level's remaining nodes are abandoned and the call unwinds with
-  // SolveCancelled. With the flag cleared, the same pool reproduces the
-  // serial result.
+  // parallel_for. A second thread raises the flag at several offsets into
+  // the call, most of them inside that level on an unloaded machine; the
+  // level's remaining nodes are then abandoned and the call unwinds with
+  // SolveCancelled. Whatever the scheduler does, each attempt must either
+  // unwind that way or return the serial result (the flag came too late),
+  // and with the flag cleared the same pool reproduces the serial result.
+  // A flag raised before the call must unwind at its first poll.
   const GridInstance gi = make_instance(5, 40, 40, 4, 64);
   const PlaneTopology star = star_topology(gi.root_xy, gi.plane_sinks);
   const auto t0 = std::chrono::steady_clock::now();
@@ -511,19 +513,32 @@ TEST(Embed, PooledDpUnwindsOnCancellationRaisedMidLevel) {
   const auto serial = std::chrono::steady_clock::now() - t0;
 
   ThreadPool pool(4);
-  std::atomic<bool> cancel{false};
+  std::atomic<bool> cancel{true};
   SolveControls controls;
   controls.cancel = &cancel;
   controls.pool = &pool;
-  std::thread raiser([&] {
-    std::this_thread::sleep_for(serial / 10);
-    cancel.store(true);
-  });
   EXPECT_THROW(embed_topology(star, gi.inst, &controls), SolveCancelled);
-  raiser.join();
-  cancel.store(false);
-  expect_same_embedding(embed_topology(star, gi.inst, &controls), want,
-                        "after a cancelled call");
+
+  for (const int tenths : {0, 1, 2, 5}) {
+    const std::string at = "raised " + std::to_string(tenths) + "/10 in";
+    cancel.store(false);
+    std::thread raiser([&] {
+      std::this_thread::sleep_for(serial * tenths / 10);
+      cancel.store(true);
+    });
+    bool unwound = false;
+    EmbedResult got;
+    try {
+      got = embed_topology(star, gi.inst, &controls);
+    } catch (const SolveCancelled&) {
+      unwound = true;
+    }
+    raiser.join();
+    if (!unwound) expect_same_embedding(got, want, at + ", completed");
+    cancel.store(false);
+    expect_same_embedding(embed_topology(star, gi.inst, &controls), want,
+                          at + ", then rerun");
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EmbedSeeds,

@@ -53,7 +53,7 @@ TEST(Dijkstra, PathGraphDistances) {
   for (VertexId v = 0; v < 5; ++v) {
     EXPECT_DOUBLE_EQ(r.dist[v], 2.0 * v);
   }
-  const auto path = r.path_edges(4);
+  const auto path = r.path_edges(g, 4);
   EXPECT_EQ(path.size(), 4u);
 }
 
@@ -133,7 +133,7 @@ TEST_P(RandomGraphTest, PathEdgesReconstructDistance) {
   const auto r = dijkstra(g, {0}, [&](EdgeId e) { return len[e]; });
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     double sum = 0.0;
-    for (const EdgeId e : r.path_edges(v)) sum += len[e];
+    for (const EdgeId e : r.path_edges(g, v)) sum += len[e];
     EXPECT_NEAR(sum, r.dist[v], 1e-9);
   }
 }
@@ -161,12 +161,14 @@ TEST_P(RandomGraphTest, LandmarkBoundsAreAdmissibleAndUseful) {
 }
 
 /// The parent chain from v back to its seed, as (edge, vertex) steps.
-std::vector<std::pair<EdgeId, VertexId>> parent_chain(const DijkstraResult& r,
+std::vector<std::pair<EdgeId, VertexId>> parent_chain(const Graph& g,
+                                                      const DijkstraResult& r,
                                                       VertexId v) {
   std::vector<std::pair<EdgeId, VertexId>> out;
   while (r.parent_edge[v] != kInvalidEdge) {
-    out.emplace_back(r.parent_edge[v], r.parent[v]);
-    v = r.parent[v];
+    const EdgeId e = r.parent_edge[v];
+    v = g.other_end(e, v);
+    out.emplace_back(e, v);
   }
   return out;
 }
@@ -186,19 +188,20 @@ void expect_settled_prefix_is_final(
   DijkstraResult ws;
   ws.dist.assign(n, DijkstraResult::kInf);
   ws.parent_edge.assign(n, kInvalidEdge);
-  ws.parent.assign(n, kInvalidVertex);
   BinaryHeap<double> heap;
   std::vector<VertexId> labelled;
   for (VertexId t = 0; t < n; ++t) {
     const DijkstraResult once =
         dijkstra_with_initial_labels(g, seeds, length, t);
     EXPECT_EQ(bits(once.dist[t]), bits(full.dist[t])) << "target " << t;
-    EXPECT_EQ(parent_chain(once, t), parent_chain(full, t)) << "target " << t;
+    EXPECT_EQ(parent_chain(g, once, t), parent_chain(g, full, t))
+        << "target " << t;
 
     dijkstra_search(g, seeds, length, t, ws, heap, &labelled);
     EXPECT_TRUE(heap.empty());
     EXPECT_EQ(bits(ws.dist[t]), bits(full.dist[t])) << "target " << t;
-    EXPECT_EQ(parent_chain(ws, t), parent_chain(full, t)) << "target " << t;
+    EXPECT_EQ(parent_chain(g, ws, t), parent_chain(g, full, t))
+        << "target " << t;
     // `labelled` lists exactly the vertices this search reached, once each.
     std::vector<VertexId> sorted = labelled;
     std::sort(sorted.begin(), sorted.end());

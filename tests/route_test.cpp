@@ -327,9 +327,8 @@ TEST(Router, ResultsAreThreadCountInvariant) {
 
 TEST(Router, EmbeddedMethodsAreThreadCountInvariant) {
   // The L1/SL/PD oracles fan their embedding DP out over the router's pool
-  // (nested inside the batch or shard lanes), and batches hand nets out
-  // longest-first: neither may change a bit of the result, batched or
-  // sharded.
+  // (nested inside the batch or shard lanes): that may not change a bit of
+  // the result, batched or sharded.
   const ChipConfig c = tiny_chip();
   const RoutingGrid grid = make_chip_grid(c);
   const Netlist nl = generate_netlist(c, grid);

@@ -83,7 +83,6 @@ TEST(ArcCostView, DijkstraBitIdenticalToPerEdgePath) {
   const DijkstraResult soa = dijkstra(g, {0, 17}, ArrayLength(view));
   ASSERT_EQ(scalar.dist, soa.dist);
   ASSERT_EQ(scalar.parent_edge, soa.parent_edge);
-  ASSERT_EQ(scalar.parent, soa.parent);
 
   const DijkstraResult scalar_cd =
       dijkstra(g, {3}, CostDelayLength{cost, delay, 2.5});
