@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
     std::array<double, std::size(kConfigs)> objective{};
     for (std::size_t c = 0; c < nc; ++c) {
       CdSolver::Job job;
-      job.instance = &oi.instance();
+      job.instance = &oi.lattice_instance();
       job.future_cost = &oi.future_cost();
       job.seed = params.seed;
       WallTimer st;

@@ -1,8 +1,10 @@
 // Microbenchmarks for the blocked relax strips and the work-stealing shard
 // executor. The strip rows time the Vec4d kernels (AVX2 under the bench
 // preset's -march, the bit-identical scalar twin under CDST_FORCE_SCALAR)
-// against the per-edge scalar paths on the same instances; the sharded-round
-// row times stealing vs static execution of an imbalanced round. Every pair
+// against the per-edge scalar paths on the same instances, and strips read
+// from a stamped window against strips generated from its lattice; the
+// sharded-round row times stealing vs static execution of an imbalanced
+// round. Every pair
 // produces bit-identical results — only the loop shape (or the schedule)
 // changes, so the deltas are pure kernel/executor cost.
 
@@ -21,6 +23,7 @@
 #include "graph/dijkstra.h"
 #include "grid/future_cost.h"
 #include "grid/routing_grid.h"
+#include "grid/window.h"
 #include "route/netlist_gen.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -145,6 +148,67 @@ void BM_Relax_CdSolveStrip(benchmark::State& state) {
   state.SetLabel(strips ? Vec4d::isa() : "per_edge");
 }
 BENCHMARK(BM_Relax_CdSolveStrip)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------------
+// Lattice relax: the same solve on a routing window's stamped CSR plane vs
+// on its lattice, where each settled vertex's arcs are generated in closed
+// form (heads, edge ids, delays) with costs gathered from the per-edge
+// prices. The window covers the whole SolveFixture grid, priced from its
+// costs as a frozen snapshot, so both rows solve the same instance as
+// BM_Relax_CdSolveStrip, with bit-identical results between them. The
+// stamp itself is built untimed: the rows compare relaxation only.
+
+struct LatticeFixture {
+  std::unique_ptr<CongestionCosts> costs;
+  std::unique_ptr<RoutingWindow> window;
+  CostDistanceInstance stamped;
+  CostDistanceInstance lattice;
+};
+
+const LatticeFixture& lattice_fixture() {
+  static const LatticeFixture* f = [] {
+    const SolveFixture& s = solve_fixture();
+    auto* out = new LatticeFixture;
+    out->costs = std::make_unique<CongestionCosts>(*s.grid);
+    Rect box;
+    box.expand(Point2{0, 0});
+    box.expand(Point2{s.grid->nx() - 1, s.grid->ny() - 1});
+    const RoundPricing pricing{s.cost, nullptr};
+    out->window = std::make_unique<RoutingWindow>(*s.grid, *out->costs, box,
+                                                  &pricing);
+    // A full-grid window numbers vertices exactly like the grid.
+    out->lattice = s.inst;
+    out->lattice.graph = nullptr;
+    out->lattice.delay = nullptr;
+    out->lattice.cost = &out->window->edge_costs();
+    out->lattice.lattice = &out->window->lattice();
+    out->stamped = s.inst;
+    out->stamped.graph = &out->window->graph();
+    out->stamped.cost = &out->window->edge_costs();
+    out->stamped.delay = &out->window->edge_delays();
+    out->stamped.arc_costs = &out->window->arc_costs();
+    return out;
+  }();
+  return *f;
+}
+
+/// arg 0: the window's stamped CSR plane; arg 1: the window lattice.
+void BM_Relax_CdSolveLattice(benchmark::State& state) {
+  const bool lattice = state.range(0) != 0;
+  const LatticeFixture& f = lattice_fixture();
+  SolverOptions opts;
+  opts.future_cost = solve_fixture().fc.get();
+  CdSolver solver(opts);
+  const CostDistanceInstance& inst = lattice ? f.lattice : f.stamped;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(solver.solve(inst));
+  }
+  state.SetLabel(lattice ? "lattice" : "stamped");
+}
+BENCHMARK(BM_Relax_CdSolveLattice)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);

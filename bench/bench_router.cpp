@@ -2,7 +2,9 @@
 // rip-up & re-route loop (shards = 0) against spatially sharded rounds
 // (shards >= 1, route/sharding.h), plus the L1/SL/PD baselines' embedding
 // DP in batched rounds, the DP of the largest net alone, serial and on a
-// pool (BM_Embed_Heavy), and the per-net window build (BM_Router_Window).
+// pool (BM_Embed_Heavy), the per-net window build and stamp a baseline net
+// pays (BM_Router_Window), and the per-net CD oracle, window plus lattice
+// solve (BM_Router_CdOracle).
 // Sharded rounds freeze the price plane
 // once per round — windows gather prices instead of exponentiating per
 // edge — and fan shards out across the worker pool, so they win twice:
@@ -150,7 +152,7 @@ void BM_Embed_Heavy(benchmark::State& state) {
     const std::size_t sinks = f.netlist.nets[i].sinks.size();
     if (sinks > 0) {
       const std::pair<std::size_t, std::size_t> size(
-          oracle(i, offset).window().graph().num_vertices(), sinks);
+          oracle(i, offset).window().num_vertices(), sinks);
       if (size > heavy_size) {
         heavy = i;
         heavy_offset = offset;
@@ -180,48 +182,66 @@ void BM_Embed_Heavy(benchmark::State& state) {
   }
   state.counters["sinks"] = static_cast<double>(net.sinks.size());
   state.counters["window_vertices"] =
-      static_cast<double>(oi.window().graph().num_vertices());
+      static_cast<double>(oi.window().num_vertices());
   state.SetLabel(lanes > 1 ? "pooled" : "serial");
 }
 BENCHMARK(BM_Embed_Heavy)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
-/// The window-materialization layer: builds the routing window (through
-/// OracleInstance, the unit a router round builds per net) of every net of
-/// the BM_Router_Sharded fixture, priced from the frozen snapshot of the
-/// state after one sharded round, each net's own committed usage excluded.
-/// Single-threaded; the snapshot and exclusion maps are built untimed.
-void BM_Router_Window(benchmark::State& state) {
-  const Fixture& f = fixture();
-  const RouterOptions opts = options_for(4);
-  const RouterResult routed = route_rounds(/*shards=*/4, /*rounds=*/1);
-  CongestionCosts costs(f.grid, opts.congestion);
-  for (const std::vector<EdgeId>& r : routed.routes) {
-    if (!r.empty()) costs.add_usage(r, +1.0);
-  }
-  const std::vector<double> snapshot = costs.edge_cost_vector();
-  const std::size_t num_nets = f.netlist.nets.size();
-  std::vector<SparseMap<double>> excluded(num_nets);
-  std::vector<std::size_t> sink_offset(num_nets + 1, 0);
-  for (std::size_t i = 0; i < num_nets; ++i) {
-    for (const EdgeId ge : routed.routes[i]) {
-      const RoutingGrid::EdgeInfo& info = f.grid.edge_info(ge);
-      excluded[i][info.resource] += info.width;
+/// The state after one sharded round of the BM_Router_Sharded fixture: the
+/// frozen price snapshot, each net's own committed usage, and the sink
+/// weights the next round prices against. Built untimed.
+struct RoundSnapshot {
+  RouterOptions opts{options_for(4)};
+  RouterResult routed;
+  std::unique_ptr<CongestionCosts> costs;
+  std::vector<double> snapshot;
+  std::vector<SparseMap<double>> excluded;
+  std::vector<std::size_t> sink_offset;
+
+  RoundSnapshot() {
+    const Fixture& f = fixture();
+    routed = route_rounds(/*shards=*/4, /*rounds=*/1);
+    costs = std::make_unique<CongestionCosts>(f.grid, opts.congestion);
+    for (const std::vector<EdgeId>& r : routed.routes) {
+      if (!r.empty()) costs->add_usage(r, +1.0);
     }
-    sink_offset[i + 1] = sink_offset[i] + f.netlist.nets[i].sinks.size();
+    snapshot = costs->edge_cost_vector();
+    const std::size_t num_nets = f.netlist.nets.size();
+    excluded.resize(num_nets);
+    sink_offset.assign(num_nets + 1, 0);
+    for (std::size_t i = 0; i < num_nets; ++i) {
+      collect_route_usage(f.grid, routed.routes[i], excluded[i]);
+      sink_offset[i + 1] = sink_offset[i] + f.netlist.nets[i].sinks.size();
+    }
   }
 
+  /// Net i's oracle instance, priced as the next sharded round prices it.
+  OracleInstance oracle(std::size_t i) const {
+    const Fixture& f = fixture();
+    const RoundPricing pricing{
+        snapshot, routed.routes[i].empty() ? nullptr : &excluded[i]};
+    return OracleInstance(
+        f.grid, *costs, f.netlist.nets[i],
+        std::span<const double>(routed.sink_weights.data() + sink_offset[i],
+                                f.netlist.nets[i].sinks.size()),
+        opts.oracle, &pricing);
+  }
+};
+
+/// The window layer of a baseline (L1/SL/PD) net: builds the routing window
+/// (through OracleInstance, the unit a router round builds per net) of
+/// every net of the BM_Router_Sharded fixture, priced from the frozen
+/// snapshot of the state after one sharded round, each net's own committed
+/// usage excluded, and stamps its CSR form and arc plane (what the
+/// embedding DP reads). Single-threaded.
+void BM_Router_Window(benchmark::State& state) {
+  const Fixture& f = fixture();
+  const RoundSnapshot round;
   std::size_t windows = 0, arcs = 0;
   for (auto _ : state) {
-    for (std::size_t i = 0; i < num_nets; ++i) {
-      const Net& net = f.netlist.nets[i];
-      if (net.sinks.empty()) continue;
-      const RoundPricing pricing{
-          snapshot, routed.routes[i].empty() ? nullptr : &excluded[i]};
-      const OracleInstance oi(
-          f.grid, costs, net,
-          std::span<const double>(routed.sink_weights.data() + sink_offset[i],
-                                  net.sinks.size()),
-          opts.oracle, &pricing);
+    for (std::size_t i = 0; i < f.netlist.nets.size(); ++i) {
+      if (f.netlist.nets[i].sinks.empty()) continue;
+      const OracleInstance oi = round.oracle(i);
       benchmark::DoNotOptimize(oi.window().arc_costs().arc_cost_data());
       benchmark::ClobberMemory();
       ++windows;
@@ -235,6 +255,29 @@ void BM_Router_Window(benchmark::State& state) {
                    : static_cast<double>(arcs) / static_cast<double>(windows);
 }
 BENCHMARK(BM_Router_Window)->Unit(benchmark::kMillisecond);
+
+/// The per-net CD oracle of a sharded round: for every net of the same
+/// fixture and snapshot as BM_Router_Window, the window build plus the
+/// cost-distance solve on its lattice (run_method), one recycled scratch.
+/// Single-threaded.
+void BM_Router_CdOracle(benchmark::State& state) {
+  const Fixture& f = fixture();
+  const RoundSnapshot round;
+  SolverScratch scratch;
+  std::size_t nets = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < f.netlist.nets.size(); ++i) {
+      if (f.netlist.nets[i].sinks.empty()) continue;
+      const OracleInstance oi = round.oracle(i);
+      benchmark::DoNotOptimize(
+          run_method(oi, SteinerMethod::kCD, round.opts.oracle, &scratch));
+      ++nets;
+    }
+  }
+  state.counters["nets"] = benchmark::Counter(static_cast<double>(nets),
+                                              benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_Router_CdOracle)->Unit(benchmark::kMillisecond);
 
 /// Sharded rounds across the transport tiers (dist/transport.h): arg 0 runs
 /// the rounds directly, 1 through the InProcessTransport serialization

@@ -465,11 +465,7 @@ struct Router::Impl {
         throw_if_deadline_expired(&controls);
         // The net prices against the snapshot minus its own committed
         // usage — the snapshot-world equivalent of ripping it up.
-        excluded.clear();
-        for (const EdgeId ge : routes[i]) {
-          const RoutingGrid::EdgeInfo& info = grid.edge_info(ge);
-          excluded[info.resource] += info.width;
-        }
+        collect_route_usage(grid, routes[i], excluded);
         const RoundPricing pricing{round_costs,
                                    routes[i].empty() ? nullptr : &excluded};
         outcomes[i] = route_one_net(i, round, &pricing, controls);

@@ -9,6 +9,7 @@
 #include <string>
 #include <thread>
 
+#include "core/search_state.h"
 #include "geom/nearest.h"
 #include "geom/rect.h"
 #include "graph/dijkstra.h"
@@ -29,112 +30,8 @@ constexpr std::uint32_t kNoComp = 0xffffffffu;
 /// relax_to sentinel: relaxation rejected, no heap push owed.
 constexpr std::uint32_t kNoPush = 0xffffffffu;
 
-struct Label {
-  VertexId vertex{kInvalidVertex};
-  double g{kInf};
-  std::uint32_t parent_idx{0xffffffffu};  ///< label arena index of predecessor
-  EdgeId parent_edge{kInvalidEdge};
-  std::uint32_t depth{0};  ///< #edges on the parent chain back to the seed
-  bool settled{false};
-  bool completion_pushed{false};
-};
-
-/// Reusable per-search scratch: a label arena plus a vertex -> label index.
-/// In dense mode the index is an epoch-versioned flat array — resetting for
-/// a new search is O(1): bump the epoch, clear the arena (capacity
-/// retained) — so the ~2t searches of a t-sink solve stop churning the
-/// allocator entirely. Dense arrays cost O(n) per live state and up to t+1
-/// states are live at once, so above a memory budget the pool falls back to
-/// a sparse (hash) index with O(touched) memory — exactly the pre-pool
-/// trade-off, still recycling capacity across searches.
-struct SearchState {
-  std::vector<Label> labels;  ///< arena; heap entries reference slots
-
-  /// Starts a fresh search over a graph with n vertices.
-  void reset(std::size_t n, bool dense) {
-    labels.clear();
-    dense_ = dense;
-    if (!dense_) {
-      sparse_.clear();
-      return;
-    }
-    if (slots_.size() != n) {
-      slots_.assign(n, VersionedSlot{});
-      epoch_ = 1;
-    } else if (++epoch_ == 0) {  // u16 wrap: invalidate all stamps the slow way
-      std::fill(slots_.begin(), slots_.end(), VersionedSlot{});
-      epoch_ = 1;
-    }
-  }
-
-  /// Mutable slot for vertex v: label arena index + 1, 0 if unlabelled.
-  std::uint32_t& slot(VertexId v) {
-    if (!dense_) return sparse_[v];
-    VersionedSlot& s = slots_[v];
-    if (s.stamp != epoch_) {
-      s.stamp = epoch_;
-      s.idx = 0;
-    }
-    return s.idx;
-  }
-
-  /// Prefetch hint for a vertex about to be slot()-ed: the dense slot array
-  /// is the relax loop's only data-dependent load, so warming it while the
-  /// strip arithmetic runs hides most of the miss.
-  void prefetch_slot(VertexId v) const {
-    if (dense_) prefetch_write(&slots_[v]);
-  }
-
-  /// Future-bound memo, versioned by the solver's merge generation. The
-  /// bound h(comp, x) is a function of the component (fixed for a state's
-  /// lifetime — states are only recycled across a generation bump) and the
-  /// set of active targets, which mutates exactly at merges; so a hit
-  /// returns bit-identically what a recompute would. This matters: the
-  /// nearest-neighbor query inside the bound dominates solve time (~86% of
-  /// the profile before memoization), and every settle re-derives the bound
-  /// for each neighbor it relaxes. Sparse mode skips the memo (a miss only
-  /// costs the recompute the dense memo would have avoided — results are
-  /// identical either way).
-  bool h_cached(VertexId v, std::uint32_t gen, double* h) const {
-    if (!dense_) return false;
-    const VersionedSlot& s = slots_[v];
-    if (s.h_stamp != static_cast<std::uint16_t>(gen)) return false;
-    *h = s.h;
-    return true;
-  }
-  void store_h(VertexId v, std::uint32_t gen, double h) {
-    if (!dense_) return;
-    slots_[v].h_stamp = static_cast<std::uint16_t>(gen);
-    slots_[v].h = h;
-  }
-
-  std::uint32_t pool_idx{0};  ///< position in SearchStatePool::all_
-
-  static constexpr std::size_t slot_bytes() { return sizeof(VersionedSlot); }
-
- private:
-  /// 16 bytes so four slots share a cache line: the relax loop's slot loads
-  /// are the solver's dominant memory traffic, and grid graphs give same-row
-  /// neighbours adjacent vertex ids — with 16-byte slots those land on the
-  /// line the settled vertex already pulled (the 24-byte layout left them
-  /// straddling lines). Keeping the memo value inside the slot matters the
-  /// same way: a validated hit reads h off the line the probe just warmed.
-  /// The u16 stamps are safe: the search epoch wraps inside reset() (full
-  /// clear), and the solver fences the merge generation below 2^16
-  /// (drop_all at solve setup), so a truncated comparison can never alias a
-  /// stale stamp.
-  struct VersionedSlot {
-    std::uint16_t stamp{0};    ///< valid iff equal to the owner's epoch
-    std::uint16_t h_stamp{0};  ///< valid iff equal to the solver's merge gen
-    std::uint32_t idx{0};
-    double h{0.0};
-  };
-  static_assert(sizeof(VersionedSlot) == 16);
-  std::vector<VersionedSlot> slots_;
-  SparseMap<std::uint32_t> sparse_;  ///< vertex -> index + 1 (sparse mode)
-  std::uint16_t epoch_{0};
-  bool dense_{true};
-};
+using cd_detail::Label;
+using cd_detail::SearchState;
 
 /// Pool of SearchStates. At most #active-components states are live at once,
 /// so the pool's high-water mark is t+1 states even though ~2t searches are
@@ -334,17 +231,89 @@ namespace {
 /// dense-state reservation degrades the solve to sparse state.
 constexpr int kBudgetBackoffAttempts = 6;
 
+/// One vertex's arcs as SoA strips for the blocked relax loop: arcs
+/// [lo, hi) of heads/edges/cost/delay, with the cost and delay arrays
+/// readable (zero-padded) up to the next multiple of kRelaxStrip past hi.
+struct ArcStrip {
+  const VertexId* heads;
+  const EdgeId* edges;
+  const double* cost;
+  const double* delay;
+  std::uint32_t lo;
+  std::uint32_t hi;
+};
+
+/// Arc sources of the solver; Solver is templated on them, so each relax
+/// loop compiles without a per-arc dispatch. The strip sources (kStrips)
+/// feed the blocked Vec4d loop; EdgeArcs feeds the per-edge loop.
+///
+/// A CSR graph with its SoA arc plane: the strips are slices of the plane.
+struct PlaneArcs {
+  static constexpr bool kStrips = true;
+  struct Buffer {};
+  const Graph& g;
+  const ArcCostView& plane;
+  const std::vector<double>& d;
+  ArcStrip strip(VertexId v, Buffer& /*unused*/) const {
+    return {g.arc_heads().data(), g.arc_edges().data(),
+            plane.arc_cost_data(), plane.arc_delay_data(), g.arc_begin(v),
+            g.arc_end(v)};
+  }
+  double delay(EdgeId e) const { return d[e]; }
+};
+
+/// A window lattice: the strip is generated per settled vertex into a stack
+/// buffer — heads, edge ids and delays in closed form, costs gathered from
+/// the per-edge prices — in the CSR plane's arc order, so keys, push order
+/// and trees are bit-identical to relaxing the stamped window.
+struct LatticeArcs {
+  static constexpr bool kStrips = true;
+  static constexpr std::size_t kCap =
+      (kMaxLatticeArcs + kRelaxStrip - 1) / kRelaxStrip * kRelaxStrip;
+  struct Buffer {
+    alignas(kVecAlign) double cost[kCap];
+    alignas(kVecAlign) double delay[kCap];
+    VertexId heads[kMaxLatticeArcs];
+    EdgeId edges[kMaxLatticeArcs];
+  };
+  const WindowLattice& lattice;
+  const double* cost;
+  ArcStrip strip(VertexId v, Buffer& b) const {
+    const std::uint32_t n = lattice.arcs(v, b.heads, b.edges, b.delay);
+    for (std::uint32_t k = 0; k < n; ++k) b.cost[k] = cost[b.edges[k]];
+    // Zero the rest of the last strip: its lanes are computed, then
+    // discarded.
+    const std::uint32_t padded =
+        (n + kRelaxStrip - 1) / kRelaxStrip * kRelaxStrip;
+    for (std::uint32_t k = n; k < padded; ++k) {
+      b.cost[k] = 0.0;
+      b.delay[k] = 0.0;
+    }
+    return {b.heads, b.edges, b.cost, b.delay, 0, n};
+  }
+  double delay(EdgeId e) const { return lattice.delay(e); }
+};
+
+/// A CSR graph without a plane: per-edge gathers through the edge ids.
+struct EdgeArcs {
+  static constexpr bool kStrips = false;
+  const Graph& g;
+  const std::vector<double>& c;
+  const std::vector<double>& d;
+  double delay(EdgeId e) const { return d[e]; }
+};
+
+template <class Arcs>
 class Solver {
  public:
-  Solver(const CostDistanceInstance& inst, const SolverOptions& opts,
-         SolverScratch::Impl& scratch, const SolveControls* controls)
+  Solver(const CostDistanceInstance& inst, const Arcs& arcs,
+         const SolverOptions& opts, SolverScratch::Impl& scratch,
+         const SolveControls* controls)
       : inst_(inst),
         opts_(opts),
-        g_(*inst.graph),
-        c_(*inst.cost),
-        d_(*inst.delay),
-        plane_(inst.arc_costs),
-        assembler_(*inst.graph),
+        view_(inst.view()),
+        arcs_(arcs),
+        assembler_(view_),
         heap_(opts.queue),
         scratch_(scratch),
         state_pool_(scratch.state_pool),
@@ -419,7 +388,7 @@ class Solver {
 
     SolveResult result;
     result.tree = assembler_.finalize();
-    result.tree.validate(g_, inst_.sinks.size());
+    result.tree.validate(view_, inst_.sinks.size());
     result.eval = evaluate_tree(result.tree, inst_);
     result.stats = stats_;
     return result;
@@ -428,7 +397,6 @@ class Solver {
  private:
   // ---------------------------------------------------------------- setup --
   void init() {
-    inst_.validate();
     const auto t = static_cast<std::uint32_t>(inst_.sinks.size());
 
     // Dense-state footprint of this solve: t+1 live searches x n vertices.
@@ -439,7 +407,7 @@ class Solver {
     // opted into strict_shared_budget, where an oversized footprint (one no
     // amount of waiting can satisfy) fails the solve outright.
     const std::size_t dense_bytes =
-        (static_cast<std::size_t>(t) + 1) * g_.num_vertices() *
+        (static_cast<std::size_t>(t) + 1) * view_.num_vertices() *
         SearchState::slot_bytes();
     bool dense;
     if (opts_.shared_dense_budget != nullptr) {
@@ -466,7 +434,8 @@ class Solver {
     // states start at stamp 0) and it restarts — the 2^15 generations of
     // headroom left to the fence cover far more merges (one per sink) than
     // any single solve performs.
-    state_pool_.configure(g_.num_vertices(), opts_.pool_search_state, dense);
+    state_pool_.configure(view_.num_vertices(), opts_.pool_search_state,
+                          dense);
     if (scratch_.h_gen >= 0x8000u) {
       state_pool_.drop_all();
       scratch_.h_gen = 0;
@@ -477,7 +446,7 @@ class Solver {
     searches_.clear();
     vertex_owner_.clear();
     edge_owner_.clear();
-    edge_owned_bits_.assign((g_.num_edges() + 63) / 64, 0);
+    edge_owned_bits_.assign((view_.num_edges() + 63) / 64, 0);
 
     assembler_.add_root(inst_.root);  // node 0
     comps_.resize(t + 1);
@@ -736,7 +705,7 @@ class Solver {
       return kNoPush;
     };
 
-    if (plane_ != nullptr) {
+    if constexpr (Arcs::kStrips) {
       // Blocked SoA relaxation: strip metrics evaluate as two Vec4d
       // operations over the contiguous per-arc arrays (the plane's zeroed
       // tail pad keeps full-width loads in-bounds on the last partial
@@ -744,13 +713,15 @@ class Solver {
       // head slots are prefetched while the arithmetic runs, and the III-A
       // discount probe is hoisted out entirely for singleton components —
       // which own no tree edges by construction.
-      const std::uint32_t lo = g_.arc_begin(vtx);
-      const std::uint32_t hi = g_.arc_end(vtx);
-      const VertexId* heads = g_.arc_heads().data();
-      const EdgeId* earr = g_.arc_edges().data();
+      typename Arcs::Buffer buf;
+      const ArcStrip strip = arcs_.strip(vtx, buf);
+      const std::uint32_t lo = strip.lo;
+      const std::uint32_t hi = strip.hi;
+      const VertexId* heads = strip.heads;
+      const EdgeId* earr = strip.edges;
       for (std::uint32_t a = lo; a < hi; ++a) su.prefetch_slot(heads[a]);
-      const double* ac = plane_->arc_cost_data();
-      const double* ad = plane_->arc_delay_data();
+      const double* ac = strip.cost;
+      const double* ad = strip.delay;
       const bool may_discount =
           opts_.discount_components && !comps_[u].singleton;
       const Vec4d bg4 = Vec4d::broadcast(base_g);
@@ -836,25 +807,24 @@ class Solver {
           heap_.push_or_decrease(u, keys[i], ng[pk[i]] + h[i]);
         }
       }
-      return;
-    }
-
-    const CostDelayLength metric{c_, d_, w};  // l_u(e) = c(e) + w d(e)
-    for (const Graph::Arc& a : g_.arcs(vtx)) {
-      // Edges already owned by u are traversed at zero *cost* under the
-      // Section III-A discount; the delay part always applies.
-      const double ng = base_g + (edge_discounted(a.edge, u)
-                                      ? w * d_[a.edge]
-                                      : metric(a.edge));
-      const std::uint32_t key = relax_to(a.to, a.edge, ng);
-      if (key == kNoPush) continue;
-      // Mirrors the strip tail exactly: the bare `ng` key when A* is off
-      // (never `ng + 0.0`, which would flip a -0.0), the memoized bound
-      // added on top otherwise.
-      if (!astar_on_) {
-        heap_.push_or_decrease(u, key, ng);
-      } else {
-        heap_.push_or_decrease(u, key, ng + future_bound(u, a.to));
+    } else {
+      const CostDelayLength metric{arcs_.c, arcs_.d, w};  // c(e) + w d(e)
+      for (const Graph::Arc& a : arcs_.g.arcs(vtx)) {
+        // Edges already owned by u are traversed at zero *cost* under the
+        // Section III-A discount; the delay part always applies.
+        const double ng = base_g + (edge_discounted(a.edge, u)
+                                        ? w * arcs_.d[a.edge]
+                                        : metric(a.edge));
+        const std::uint32_t key = relax_to(a.to, a.edge, ng);
+        if (key == kNoPush) continue;
+        // Mirrors the strip tail exactly: the bare `ng` key when A* is off
+        // (never `ng + 0.0`, which would flip a -0.0), the memoized bound
+        // added on top otherwise.
+        if (!astar_on_) {
+          heap_.push_or_decrease(u, key, ng);
+        } else {
+          heap_.push_or_decrease(u, key, ng + future_bound(u, a.to));
+        }
       }
     }
   }
@@ -1045,7 +1015,7 @@ class Solver {
       double best = kInf;
       VertexId best_v = pverts[istar];
       for (std::size_t i = istar; i <= j; ++i) {
-        if (i > istar) prefix += d_[pedges[i - 1]];
+        if (i > istar) prefix += arcs_.delay(pedges[i - 1]);
         const VertexId v = pverts[i];
         const double score = fc.cost_lb(v, rootv) +
                              wsum * fc.delay_lb(v, rootv) +
@@ -1067,11 +1037,9 @@ class Solver {
   // ----------------------------------------------------------------- data --
   const CostDistanceInstance& inst_;
   const SolverOptions& opts_;
-  const Graph& g_;
-  const std::vector<double>& c_;
-  const std::vector<double>& d_;
-  const ArcCostView* plane_{nullptr};  ///< SoA relax plane; null = per-edge
-  std::size_t budget_reserved_{0};     ///< bytes held in the shared pool
+  const GraphView view_;  ///< edge endpoints, for the tree code
+  const Arcs arcs_;
+  std::size_t budget_reserved_{0};  ///< bytes held in the shared pool
 
   TreeAssembler assembler_;
   SolverQueue heap_;
@@ -1101,6 +1069,26 @@ class Solver {
   SolveStats stats_;
 };
 
+/// Validates the instance, then runs the solver on the arc source its graph
+/// form selects.
+SolveResult solve_on(const CostDistanceInstance& instance,
+                     const SolverOptions& options,
+                     SolverScratch::Impl& scratch,
+                     const SolveControls* controls) {
+  instance.validate();
+  if (instance.lattice != nullptr) {
+    const LatticeArcs arcs{*instance.lattice, instance.cost->data()};
+    return Solver(instance, arcs, options, scratch, controls).run();
+  }
+  if (instance.arc_costs != nullptr) {
+    const PlaneArcs arcs{*instance.graph, *instance.arc_costs,
+                         *instance.delay};
+    return Solver(instance, arcs, options, scratch, controls).run();
+  }
+  const EdgeArcs arcs{*instance.graph, *instance.cost, *instance.delay};
+  return Solver(instance, arcs, options, scratch, controls).run();
+}
+
 }  // namespace
 
 SolveResult solve_cost_distance(const CostDistanceInstance& instance,
@@ -1108,12 +1096,10 @@ SolveResult solve_cost_distance(const CostDistanceInstance& instance,
                                 SolverScratch* scratch,
                                 const SolveControls* controls) {
   if (scratch != nullptr) {
-    Solver solver(instance, options, scratch->impl(), controls);
-    return solver.run();
+    return solve_on(instance, options, scratch->impl(), controls);
   }
   SolverScratch local;
-  Solver solver(instance, options, local.impl(), controls);
-  return solver.run();
+  return solve_on(instance, options, local.impl(), controls);
 }
 
 }  // namespace cdst

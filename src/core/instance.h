@@ -16,6 +16,7 @@
 
 #include "graph/arc_cost_view.h"
 #include "graph/graph.h"
+#include "graph/lattice.h"
 #include "util/assert.h"
 
 namespace cdst {
@@ -25,6 +26,13 @@ struct Terminal {
   double weight{0.0};  ///< delay weight w(t); criticality from Lagrangean relaxation
 };
 
+/// The graph comes in one of two forms. Generic instances set `graph`,
+/// `cost`, `delay` (and optionally `arc_costs`). Routing-window instances
+/// may instead set `lattice` and `cost`: the window's closed form
+/// (graph/lattice.h), which the cost-distance solver relaxes in place with
+/// delays read off the lattice; `graph`, `delay` and `arc_costs` then stay
+/// null. Code that needs a CSR graph (the embedding DP, exact enumeration,
+/// instance I/O) takes the generic form only.
 struct CostDistanceInstance {
   const Graph* graph{nullptr};
   const std::vector<double>* cost{nullptr};   ///< c(e), congestion cost
@@ -35,6 +43,8 @@ struct CostDistanceInstance {
   /// are bit-identical either way. Windows provide this for free; standalone
   /// callers can build one with ArcCostView(graph, cost, delay).
   const ArcCostView* arc_costs{nullptr};
+  /// Closed-form window graph, in place of graph/delay/arc_costs.
+  const WindowLattice* lattice{nullptr};
   VertexId root{kInvalidVertex};
   std::vector<Terminal> sinks;
   double dbif{0.0};  ///< total bifurcation delay penalty per branching
@@ -48,21 +58,40 @@ struct CostDistanceInstance {
     return w;
   }
 
+  /// Edge endpoints of whichever graph form the instance carries.
+  GraphView view() const {
+    return lattice != nullptr ? GraphView(*lattice) : GraphView(*graph);
+  }
+
+  /// d(e) of either form.
+  double edge_delay(EdgeId e) const {
+    return lattice != nullptr ? lattice->delay(e) : (*delay)[e];
+  }
+
   void validate() const {
-    CDST_CHECK(graph != nullptr && cost != nullptr && delay != nullptr);
-    CDST_CHECK(cost->size() == graph->num_edges());
-    CDST_CHECK(delay->size() == graph->num_edges());
-    if (arc_costs != nullptr) {
-      CDST_CHECK_MSG(arc_costs->graph() == graph,
-                     "arc_costs plane built over a different graph");
-      CDST_CHECK(arc_costs->edge_cost().size() == graph->num_edges());
+    CDST_CHECK(cost != nullptr);
+    if (lattice != nullptr) {
+      CDST_CHECK_MSG(graph == nullptr && delay == nullptr &&
+                         arc_costs == nullptr,
+                     "a lattice instance carries no CSR graph");
+      CDST_CHECK(cost->size() == lattice->num_edges());
+    } else {
+      CDST_CHECK(graph != nullptr && delay != nullptr);
+      CDST_CHECK(cost->size() == graph->num_edges());
+      CDST_CHECK(delay->size() == graph->num_edges());
+      if (arc_costs != nullptr) {
+        CDST_CHECK_MSG(arc_costs->graph() == graph,
+                       "arc_costs plane built over a different graph");
+        CDST_CHECK(arc_costs->edge_cost().size() == graph->num_edges());
+      }
     }
-    CDST_CHECK(root < graph->num_vertices());
+    const std::size_t n = view().num_vertices();
+    CDST_CHECK(root < n);
     CDST_CHECK_MSG(!sinks.empty(), "instance needs at least one sink");
     CDST_CHECK(eta >= 0.0 && eta <= 0.5);
     CDST_CHECK(dbif >= 0.0);
     for (const Terminal& t : sinks) {
-      CDST_CHECK(t.vertex < graph->num_vertices());
+      CDST_CHECK(t.vertex < n);
       CDST_CHECK(t.weight >= 0.0);
     }
   }

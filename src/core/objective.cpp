@@ -6,7 +6,6 @@ TreeEvaluation evaluate_tree(const SteinerTree& tree,
                              const CostDistanceInstance& instance) {
   instance.validate();
   const std::vector<double>& c = *instance.cost;
-  const std::vector<double>& d = *instance.delay;
   const std::size_t nn = tree.nodes.size();
   CDST_CHECK(nn > 0);
 
@@ -35,7 +34,7 @@ TreeEvaluation evaluate_tree(const SteinerTree& tree,
     const auto p = static_cast<std::size_t>(n.parent);
     double dl = delay_from_root[p];
     for (const EdgeId e : n.up_path) {
-      dl += d[e];
+      dl += instance.edge_delay(e);
       eval.connection_cost += c[e];
       ++eval.num_graph_edges;
     }

@@ -126,11 +126,7 @@ StatusOr<ShardResultMsg> execute_shard(ShardContext& ctx,
       // identical to the in-process shard loop, except the live usage of
       // the net's resources arrives frozen on the wire instead of sitting
       // in the session's CongestionCosts.
-      excluded.clear();
-      for (const EdgeId e : nw.route_edges) {
-        const RoutingGrid::EdgeInfo& info = ctx.grid.edge_info(e);
-        excluded[info.resource] += info.width;
-      }
+      collect_route_usage(ctx.grid, nw.route_edges, excluded);
       for (std::size_t k = 0; k < nw.resources.size(); ++k) {
         costs.set_usage(nw.resources[k], nw.usage[k]);
       }

@@ -32,8 +32,9 @@
 /// stamps its CSR, into a Strips allocated at the exact size, and hands
 /// them over with adopt() (per-edge arrays borrowed, as in
 /// assign_borrowed()). Producers: RoutingGrid finalizes a base-cost plane
-/// with its graph; every RoutingWindow (one per net per round, priced live
-/// or from the sharded router's frozen round snapshot) adopts its own.
+/// with its graph; a RoutingWindow adopts its own when its stamped form is
+/// first asked for (the embedding DP does; the cost-distance solver relaxes
+/// the window lattice instead).
 
 #pragma once
 

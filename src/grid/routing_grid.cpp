@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 
 namespace cdst {
 
@@ -13,6 +14,9 @@ RoutingGrid::RoutingGrid(std::int32_t nx, std::int32_t ny,
   for (const LayerSpec& l : layers_) {
     CDST_CHECK_MSG(!l.wire_types.empty(),
                    "layer " + l.name + " has no wire types");
+    CDST_CHECK_MSG(l.wire_types.size() <= kMaxLatticeWireTypes,
+                   "layer " + l.name + " has more than " +
+                       std::to_string(kMaxLatticeWireTypes) + " wire types");
   }
   build();
 }
@@ -37,6 +41,7 @@ void RoutingGrid::build() {
   // The edge-id layout wire_edge()/via_edge() decode: each layer's wire
   // edges in turn, then the vias.
   edge_base_.assign(layers_.size() + 1, 0);
+  resource_base_.assign(layers_.size() + 1, 0);
   for (std::size_t z = 0; z < layers_.size(); ++z) {
     const bool horizontal = layers_[z].dir == LayerDir::kHorizontal;
     const std::size_t segments =
@@ -44,6 +49,7 @@ void RoutingGrid::build() {
         static_cast<std::size_t>(horizontal ? ny_ : ny_ - 1);
     edge_base_[z + 1] =
         edge_base_[z] + segments * layers_[z].wire_types.size();
+    resource_base_[z + 1] = resource_base_[z] + segments;
   }
 
   // Intra-layer wiring edges.

@@ -16,6 +16,7 @@
 #include "geom/point.h"
 #include "graph/arc_cost_view.h"
 #include "graph/graph.h"
+#include "graph/lattice.h"
 #include "grid/layer.h"
 
 namespace cdst {
@@ -100,6 +101,36 @@ class RoutingGrid {
                                x);
   }
 
+  /// The grid edges of one resource: a wire boundary's wire types are
+  /// consecutive ids from `first` (count = the layer's wire types); a via
+  /// resource has its one via edge. Resources are numbered in edge order,
+  /// one per segment, so this is closed form too.
+  struct EdgeRange {
+    EdgeId first{kInvalidEdge};
+    std::uint32_t count{0};
+  };
+  EdgeRange resource_edges(ResourceId r) const {
+    CDST_ASSERT(r < resource_capacity_.size());
+    const std::size_t nz = layers_.size();
+    std::size_t z = 0;
+    while (z < nz && r >= resource_base_[z + 1]) ++z;
+    if (z == nz) {
+      return {static_cast<EdgeId>(edge_base_.back() + (r - resource_base_[z])),
+              1};
+    }
+    const std::size_t nw = layers_[z].wire_types.size();
+    return {static_cast<EdgeId>(edge_base_[z] + (r - resource_base_[z]) * nw),
+            static_cast<std::uint32_t>(nw)};
+  }
+
+  /// Delay of wire type `w` on layer z, and of every via: the values
+  /// edge_delays() holds for those edges (EdgeInfo stores delays as float).
+  double wire_delay(std::int32_t z, std::size_t w) const {
+    return static_cast<float>(
+        layers_[static_cast<std::size_t>(z)].wire_types[w].delay_per_gcell);
+  }
+  double via_delay() const { return static_cast<float>(via_.delay); }
+
   const EdgeInfo& edge_info(EdgeId e) const {
     CDST_ASSERT(e < edge_info_.size());
     return edge_info_[e];
@@ -144,6 +175,9 @@ class RoutingGrid {
   /// First edge id of each layer's wire edges; the last entry is the first
   /// via id (see wire_edge()/via_edge()).
   std::vector<std::size_t> edge_base_;
+  /// First resource id of each layer's wire segments; the last entry is
+  /// the first via resource (see resource_edges()).
+  std::vector<std::size_t> resource_base_;
   Graph graph_;
   ArcCostView arc_costs_;
   std::vector<Point3> positions_;

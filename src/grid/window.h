@@ -10,11 +10,13 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/future_oracle.h"
 #include "geom/rect.h"
 #include "graph/arc_cost_view.h"
+#include "graph/lattice.h"
 #include "grid/cost_model.h"
 #include "grid/routing_grid.h"
 #include "util/sparse_map.h"
@@ -33,6 +35,13 @@ struct RoundPricing {
   const SparseMap<double>* excluded_usage{nullptr};
 };
 
+/// The capacity units a committed route occupies, per resource: clears
+/// `out`, then adds each edge's width to its resource in route order. This
+/// is the excluded usage a RoundPricing carries for the route's net.
+void collect_route_usage(const RoutingGrid& grid,
+                         std::span<const EdgeId> route,
+                         SparseMap<double>& out);
+
 class RoutingWindow {
  public:
   /// Builds the subgraph of `grid` over gcells in `box` (clipped to the
@@ -40,34 +49,44 @@ class RoutingWindow {
   /// `pricing` (optional) prices from a frozen round snapshot instead of the
   /// live CongestionCosts state — see RoundPricing.
   ///
-  /// The subgraph is stamped in closed form from the box and the layer
-  /// stack (RoutingGrid::wire_edge()/via_edge()), into exact-size arrays.
-  /// Window vertices are numbered layer-major, then row-major within the
-  /// box. Window edges are numbered by ascending tail (the lower endpoint);
-  /// a vertex's own edges are its wire types' edges to the next gcell along
-  /// the layer's direction, then its via up. The arcs of a vertex follow
-  /// edge-id order: via below, wire types to the previous gcell, wire types
-  /// to the next gcell, via above.
+  /// The window is a WindowLattice (graph/lattice.h): vertices layer-major,
+  /// then row-major within the box; edges by ascending tail; the arcs of a
+  /// vertex in edge-id order (via below, wire types to the previous gcell,
+  /// wire types to the next gcell, via above). Construction prices every
+  /// window edge once into edge_costs() and records positions; nothing else
+  /// is materialized. Prices are fixed here: later changes to `costs` do
+  /// not reach the window.
   RoutingWindow(const RoutingGrid& grid, const CongestionCosts& costs,
                 Rect box, const RoundPricing* pricing = nullptr);
+  ~RoutingWindow();
+  RoutingWindow(RoutingWindow&&) noexcept;
+  RoutingWindow& operator=(RoutingWindow&&) noexcept;
 
-  const Graph& graph() const { return graph_; }
+  /// The closed-form graph (what the cost-distance solver searches).
+  const WindowLattice& lattice() const { return lattice_; }
   const RoutingGrid& grid() const { return *grid_; }
   const Rect& box() const { return box_; }
+  std::size_t num_vertices() const { return lattice_.num_vertices(); }
+  std::size_t num_edges() const { return lattice_.num_edges(); }
 
   /// Congestion prices of window edges (the instance's c vector).
   const std::vector<double>& edge_costs() const { return costs_; }
-  /// Static delays of window edges (the instance's d vector).
-  const std::vector<double>& edge_delays() const { return delays_; }
 
-  /// SoA plane of the window's priced attributes, keyed by window arc index
-  /// (what the solver's blocked relax loop scans).
-  const ArcCostView& arc_costs() const { return arc_costs_; }
+  /// The stamped form: the window as a CSR Graph, the per-edge delays and
+  /// the SoA plane of priced per-arc attributes keyed by window arc index.
+  /// Written out on the first call to any of the three (thread-safe), from
+  /// the lattice and the prices fixed at construction. Only callers that
+  /// need a CSR graph ask: the embedding DP of the L1/SL/PD baselines, and
+  /// generic instance code (OracleInstance::instance()).
+  const Graph& graph() const;
+  /// Static delays of window edges (the instance's d vector).
+  const std::vector<double>& edge_delays() const;
+  const ArcCostView& arc_costs() const;
 
   VertexId to_grid_vertex(VertexId wv) const {
     return grid_->vertex_at(positions_[wv]);
   }
-  EdgeId to_grid_edge(EdgeId we) const { return to_grid_edge_[we]; }
+  EdgeId to_grid_edge(EdgeId we) const;
 
   /// Dense per-window-vertex positions in grid coordinates (the SoA
   /// geometry plane behind WindowFutureCost's bounds).
@@ -80,15 +99,15 @@ class RoutingWindow {
   std::vector<EdgeId> to_grid_edges(const std::vector<EdgeId>& wes) const;
 
  private:
+  struct Stamp;
+  const Stamp& stamped() const;
+
   const RoutingGrid* grid_;
   Rect box_;
-  Graph graph_;
-  ArcCostView arc_costs_;
+  WindowLattice lattice_;
   std::vector<Point3> positions_;
-  std::vector<EdgeId> to_grid_edge_;
   std::vector<double> costs_;
-  std::vector<double> delays_;
-  std::int32_t wx_{0}, wy_{0};  ///< window extent in gcells
+  std::unique_ptr<Stamp> stamp_;  ///< the lazily stamped form
 };
 
 /// FutureCostOracle over a routing window: the window's dense positions (in

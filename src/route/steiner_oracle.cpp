@@ -30,20 +30,19 @@ OracleInstance::OracleInstance(const RoutingGrid& grid,
                                  pricing)) {
   CDST_CHECK(sink_weights.size() == net.sinks.size());
   Rep& rep = *rep_;
-  rep.instance.graph = &rep.window.graph();
-  rep.instance.cost = &rep.window.edge_costs();
-  rep.instance.delay = &rep.window.edge_delays();
-  rep.instance.arc_costs = &rep.window.arc_costs();
-  rep.instance.dbif = params.dbif;
-  rep.instance.eta = params.eta;
-  rep.instance.root = rep.window.from_grid_vertex(grid.vertex_at(net.source));
-  CDST_CHECK(rep.instance.root != kInvalidVertex);
+  CostDistanceInstance& inst = rep.lattice_instance;
+  inst.lattice = &rep.window.lattice();
+  inst.cost = &rep.window.edge_costs();
+  inst.dbif = params.dbif;
+  inst.eta = params.eta;
+  inst.root = rep.window.from_grid_vertex(grid.vertex_at(net.source));
+  CDST_CHECK(inst.root != kInvalidVertex);
   rep.root_xy = net.source.xy();
   for (std::size_t s = 0; s < net.sinks.size(); ++s) {
     const VertexId wv =
         rep.window.from_grid_vertex(grid.vertex_at(net.sinks[s].pos));
     CDST_CHECK(wv != kInvalidVertex);
-    rep.instance.sinks.push_back(Terminal{wv, sink_weights[s]});
+    inst.sinks.push_back(Terminal{wv, sink_weights[s]});
     rep.plane_sinks.push_back(PlaneTerminal{net.sinks[s].pos.xy(),
                                             sink_weights[s],
                                             net.sinks[s].rat});
@@ -54,6 +53,19 @@ OracleInstance::~OracleInstance() = default;
 OracleInstance::OracleInstance(OracleInstance&&) noexcept = default;
 OracleInstance& OracleInstance::operator=(OracleInstance&&) noexcept =
     default;
+
+const CostDistanceInstance& OracleInstance::instance() const {
+  Rep& rep = *rep_;
+  std::call_once(rep.stamped_once, [&rep] {
+    CostDistanceInstance& inst = rep.stamped_instance;
+    inst = rep.lattice_instance;
+    inst.lattice = nullptr;
+    inst.graph = &rep.window.graph();
+    inst.delay = &rep.window.edge_delays();
+    inst.arc_costs = &rep.window.arc_costs();
+  });
+  return rep.stamped_instance;
+}
 
 double OracleInstance::delay_per_unit() const {
   return rep_->window.grid().min_unit_delay();
@@ -67,7 +79,7 @@ OracleOutcome run_method(const OracleInstance& oi, SteinerMethod method,
     SolverOptions opts = params.cd;
     opts.seed = params.seed;
     opts.future_cost = &oi.future_cost();
-    SolveResult r = solve_cost_distance(oi.instance(), opts, scratch,
+    SolveResult r = solve_cost_distance(oi.lattice_instance(), opts, scratch,
                                         controls);
     out.eval = r.eval;
     out.grid_edges = oi.window().to_grid_edges(r.tree.all_edges());

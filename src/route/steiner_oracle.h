@@ -7,6 +7,7 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <span>
 
 #include "core/cost_distance.h"
@@ -55,7 +56,18 @@ class OracleInstance {
   OracleInstance(const OracleInstance&) = delete;
   OracleInstance& operator=(const OracleInstance&) = delete;
 
-  const CostDistanceInstance& instance() const { return rep_->instance; }
+  /// The generic form: the window's stamped CSR graph, per-edge prices and
+  /// delays and its arc plane. The first call stamps the window (see
+  /// RoutingWindow::graph()); the embedding DP and generic instance code
+  /// (exact enumeration, instance I/O) need this form.
+  const CostDistanceInstance& instance() const;
+  /// The same instance on the window lattice (CostDistanceInstance::lattice
+  /// with the per-edge prices): what run_method's cost-distance solve
+  /// searches, without stamping the window. Results are bit-identical to
+  /// solving instance().
+  const CostDistanceInstance& lattice_instance() const {
+    return rep_->lattice_instance;
+  }
   const RoutingWindow& window() const { return rep_->window; }
   const WindowFutureCost& future_cost() const { return rep_->future_cost; }
   const std::vector<PlaneTerminal>& plane_sinks() const {
@@ -72,7 +84,9 @@ class OracleInstance {
         : window(grid, costs, box, pricing), future_cost(window) {}
     RoutingWindow window;
     WindowFutureCost future_cost;
-    CostDistanceInstance instance;
+    CostDistanceInstance lattice_instance;
+    std::once_flag stamped_once;
+    CostDistanceInstance stamped_instance;  ///< instance(), set on first use
     std::vector<PlaneTerminal> plane_sinks;
     Point2 root_xy;
   };

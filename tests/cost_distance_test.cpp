@@ -9,6 +9,7 @@
 #include <cmath>
 
 #include "core/cost_distance.h"
+#include "core/search_state.h"
 #include "embed/embedder.h"
 #include "embed/enumerate.h"
 #include "graph/dijkstra.h"
@@ -375,6 +376,44 @@ TEST(CostDistance, HeavySinksSitOnFasterPaths) {
   o.future_cost = &fc;
   const auto r = solve_cost_distance(inst, o, /*scratch=*/nullptr);
   EXPECT_LE(r.eval.sink_delays[0], r.eval.sink_delays[1] + 1e-9);
+}
+
+// ------------------------------------------------- dense search state
+
+TEST(SearchState, GrowOnlyResetNeverLeaksAcrossSizes) {
+  cd_detail::SearchState st;
+  st.reset(100, /*dense=*/true);
+  for (VertexId v = 0; v < 100; ++v) st.slot(v) = v + 1;
+  // A smaller search uses a prefix; a later larger one sees no old labels.
+  st.reset(10, true);
+  for (VertexId v = 0; v < 10; ++v) EXPECT_EQ(st.slot(v), 0u);
+  st.slot(3) = 9;
+  st.reset(200, true);
+  for (VertexId v = 0; v < 200; ++v) EXPECT_EQ(st.slot(v), 0u) << v;
+  // Sparse searches in between leave the dense array consistent.
+  st.slot(150) = 4;
+  st.reset(50, /*dense=*/false);
+  EXPECT_EQ(st.slot(150), 0u);
+  st.reset(200, true);
+  EXPECT_EQ(st.slot(150), 0u);
+}
+
+TEST(SearchState, EpochWrapClearsSlotsBeyondTheCurrentSize) {
+  // A slot written at epoch 2 by a large search, then small searches until
+  // the epoch wraps (during a small reset, back to 1); the next large
+  // search runs at epoch 2 again. The wrap must have cleared the whole
+  // array, not just the small prefix, or the old label would alias.
+  cd_detail::SearchState st;
+  st.reset(100, true);  // epoch 1
+  st.reset(100, true);  // epoch 2
+  st.slot(50) = 7;
+  st.slot(5) = 8;
+  // 0xfffd resets reach epoch 0xffff; the next one wraps to 1.
+  for (int i = 0; i < 0xfffe; ++i) st.reset(10, true);
+  EXPECT_EQ(st.slot(5), 0u);
+  st.reset(100, true);  // epoch 2 again
+  EXPECT_EQ(st.slot(50), 0u);
+  EXPECT_EQ(st.slot(5), 0u);
 }
 
 }  // namespace

@@ -522,5 +522,134 @@ TEST(Window, StampedWindowBitIdenticalToReferenceBuild) {
   }
 }
 
+/// Every lattice query against the reference build: each vertex's arcs
+/// (head, window edge id, cost and delay bits, order), each edge's
+/// endpoints and delay, and every vertex's first own edge.
+void expect_lattice_matches_reference(const RoutingWindow& w,
+                                      const ReferenceWindow& ref) {
+  const WindowLattice& l = w.lattice();
+  const Graph& rg = ref.graph;
+  ASSERT_EQ(l.num_vertices(), rg.num_vertices());
+  ASSERT_EQ(l.num_edges(), rg.num_edges());
+  ASSERT_EQ(l.num_arcs(), rg.num_arcs());
+  VertexId heads[kMaxLatticeArcs];
+  EdgeId edges[kMaxLatticeArcs];
+  double delays[kMaxLatticeArcs];
+  for (VertexId v = 0; v < l.num_vertices(); ++v) {
+    const std::uint32_t n = l.arcs(v, heads, edges, delays);
+    ASSERT_EQ(n, rg.degree(v)) << "vertex " << v;
+    for (std::uint32_t k = 0; k < n; ++k) {
+      const std::size_t a = rg.arc_begin(v) + k;
+      ASSERT_EQ(heads[k], rg.arc_heads()[a]) << "vertex " << v << " arc " << k;
+      ASSERT_EQ(edges[k], rg.arc_edges()[a]) << "vertex " << v << " arc " << k;
+      ASSERT_EQ(bits(w.edge_costs()[edges[k]]),
+                bits(ref.arc_costs.arc_cost()[a]))
+          << "vertex " << v << " arc " << k;
+      ASSERT_EQ(bits(delays[k]), bits(ref.arc_costs.arc_delay()[a]))
+          << "vertex " << v << " arc " << k;
+    }
+  }
+  std::vector<EdgeId> first(l.num_vertices(), kInvalidEdge);
+  for (EdgeId e = 0; e < l.num_edges(); ++e) {
+    const WindowLattice::Edge d = l.edge(e);
+    ASSERT_EQ(d.tail, rg.tail(e)) << "edge " << e;
+    ASSERT_EQ(d.head, rg.head(e)) << "edge " << e;
+    ASSERT_EQ(bits(l.delay(e)), bits(ref.delays[e])) << "edge " << e;
+    const GraphView::Ends ends = GraphView(l).ends(e);
+    ASSERT_EQ(ends.tail, rg.tail(e)) << "edge " << e;
+    ASSERT_EQ(ends.head, rg.head(e)) << "edge " << e;
+    if (first[d.tail] == kInvalidEdge) first[d.tail] = e;
+  }
+  for (VertexId v = 0; v < l.num_vertices(); ++v) {
+    if (first[v] != kInvalidEdge) {
+      ASSERT_EQ(l.first_edge(v), first[v]) << "vertex " << v;
+    }
+  }
+}
+
+TEST(Window, LatticeArcsMatchReferenceBuild) {
+  Rng rng(2025);
+  for (const RoutingGrid& g : layout_grids()) {
+    SCOPED_TRACE(testing::Message()
+                 << "grid " << g.nx() << "x" << g.ny() << "x" << g.nz());
+    CongestionCosts costs(g);
+    std::vector<EdgeId> used;
+    for (EdgeId e = 0; e < g.graph().num_edges(); ++e) {
+      if (rng.uniform(3) == 0) used.push_back(e);
+    }
+    costs.add_usage(used, +1.0);
+    const std::vector<double> snapshot = costs.edge_cost_vector();
+    costs.add_usage(used, +1.0);
+    SparseMap<double> excluded;
+    for (std::size_t i = 0; i < used.size(); i += 2) {
+      excluded[g.edge_info(used[i]).resource] += 1.0;
+    }
+    const RoundPricing frozen{snapshot, nullptr};
+    const RoundPricing frozen_excluding{snapshot, &excluded};
+    const RoundPricing* modes[] = {nullptr, &frozen, &frozen_excluding};
+
+    for (const Rect& box : layout_boxes(g, rng)) {
+      for (int m = 0; m < 3; ++m) {
+        SCOPED_TRACE(testing::Message()
+                     << "box [" << box.xlo << "," << box.xhi << "]x["
+                     << box.ylo << "," << box.yhi << "] pricing mode " << m);
+        const RoutingWindow w(g, costs, box, modes[m]);
+        const auto ref = reference_window(g, costs, box, modes[m]);
+        expect_lattice_matches_reference(w, *ref);
+        for (EdgeId e = 0; e < w.num_edges(); ++e) {
+          ASSERT_EQ(w.to_grid_edge(e), ref->to_grid_edge[e]) << "edge " << e;
+        }
+      }
+    }
+  }
+}
+
+TEST(Window, CollectRouteUsageSumsWidthsPerResource) {
+  const RoutingGrid g(6, 6, make_default_layer_stack(4), ViaSpec{});
+  std::vector<EdgeId> route;
+  SparseMap<double> want;
+  for (EdgeId e = 0; e < g.graph().num_edges(); e += 7) {
+    route.push_back(e);
+    want[g.edge_info(e).resource] += g.edge_info(e).width;
+  }
+  SparseMap<double> got;
+  got[12345] = 1.0;  // stale content is cleared
+  collect_route_usage(g, route, got);
+  EXPECT_EQ(got.size(), want.size());
+  want.for_each([&](std::uint32_t r, double units) {
+    const double* v = got.find(r);
+    ASSERT_NE(v, nullptr);
+    EXPECT_EQ(bits(*v), bits(units));
+  });
+}
+
+TEST(RoutingGrid, RejectsMoreWireTypesThanALatticeStripHolds) {
+  const auto grid_with = [](int wire_types) {
+    return RoutingGrid(4, 4,
+                       std::vector<LayerSpec>{
+                           layer_spec(LayerDir::kHorizontal, wire_types),
+                           layer_spec(LayerDir::kVertical, 1)},
+                       ViaSpec{});
+  };
+  EXPECT_NO_THROW(grid_with(static_cast<int>(kMaxLatticeWireTypes)));
+  EXPECT_THROW(grid_with(static_cast<int>(kMaxLatticeWireTypes) + 1),
+               ContractViolation);
+}
+
+TEST(RoutingGrid, ResourceEdgesCoverEveryEdgeOnce) {
+  for (const RoutingGrid& g : layout_grids()) {
+    std::vector<int> seen(g.graph().num_edges(), 0);
+    for (ResourceId r = 0; r < g.num_resources(); ++r) {
+      const RoutingGrid::EdgeRange edges = g.resource_edges(r);
+      ASSERT_GE(edges.count, 1u);
+      for (std::uint32_t k = 0; k < edges.count; ++k) {
+        ASSERT_EQ(g.edge_info(edges.first + k).resource, r);
+        ++seen[edges.first + k];
+      }
+    }
+    for (const int s : seen) ASSERT_EQ(s, 1);
+  }
+}
+
 }  // namespace
 }  // namespace cdst

@@ -3,9 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "api/router.h"
 #include "route/metrics.h"
@@ -13,6 +19,7 @@
 #include "route/router.h"
 #include "route/steiner_oracle.h"
 #include "topology/prim_dijkstra.h"
+#include "util/rng.h"
 
 namespace cdst {
 namespace {
@@ -178,6 +185,256 @@ TEST(SteinerOracle, InstanceMapsPinsIntoWindow) {
     EXPECT_EQ(oi.window().to_grid_vertex(oi.instance().sinks[s].vertex),
               grid.vertex_at(net.sinks[s].pos));
   }
+}
+
+// ------------------------------------------------- lattice vs stamped CSR
+
+/// Bit-level equality of two solves: tree, every evaluation field, and the
+/// search statistics.
+void expect_bit_identical(const SolveResult& a, const SolveResult& b,
+                          const std::string& what) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  ASSERT_EQ(a.tree.num_nodes(), b.tree.num_nodes()) << what;
+  for (std::size_t i = 0; i < a.tree.num_nodes(); ++i) {
+    ASSERT_EQ(a.tree.nodes[i].graph_vertex, b.tree.nodes[i].graph_vertex)
+        << what;
+    ASSERT_EQ(a.tree.nodes[i].parent, b.tree.nodes[i].parent) << what;
+    ASSERT_EQ(a.tree.nodes[i].up_path, b.tree.nodes[i].up_path) << what;
+  }
+  EXPECT_EQ(bits(a.eval.objective), bits(b.eval.objective)) << what;
+  EXPECT_EQ(bits(a.eval.connection_cost), bits(b.eval.connection_cost))
+      << what;
+  EXPECT_EQ(bits(a.eval.weighted_delay), bits(b.eval.weighted_delay)) << what;
+  EXPECT_EQ(bits(a.eval.total_delay_penalty),
+            bits(b.eval.total_delay_penalty))
+      << what;
+  ASSERT_EQ(a.eval.sink_delays.size(), b.eval.sink_delays.size()) << what;
+  for (std::size_t s = 0; s < a.eval.sink_delays.size(); ++s) {
+    EXPECT_EQ(bits(a.eval.sink_delays[s]), bits(b.eval.sink_delays[s]))
+        << what << " sink " << s;
+  }
+  ASSERT_EQ(a.eval.node_lambda.size(), b.eval.node_lambda.size()) << what;
+  for (std::size_t n = 0; n < a.eval.node_lambda.size(); ++n) {
+    EXPECT_EQ(bits(a.eval.node_lambda[n]), bits(b.eval.node_lambda[n]))
+        << what << " node " << n;
+  }
+  EXPECT_EQ(a.eval.num_graph_edges, b.eval.num_graph_edges) << what;
+  EXPECT_EQ(a.stats.iterations, b.stats.iterations) << what;
+  EXPECT_EQ(a.stats.labels_settled, b.stats.labels_settled) << what;
+  EXPECT_EQ(a.stats.labels_relaxed, b.stats.labels_relaxed) << what;
+  EXPECT_EQ(a.stats.completions_popped, b.stats.completions_popped) << what;
+  EXPECT_EQ(a.stats.completions_stale, b.stats.completions_stale) << what;
+}
+
+/// The bench_router fixture (240 nets on 28 x 28 x 4) after one sharded
+/// round: committed routes, the frozen price snapshot and the per-net
+/// sink weights the next round prices against.
+struct RoundFixture {
+  ChipConfig config;
+  RoutingGrid grid;
+  Netlist netlist;
+  RouterResult routed;
+  std::unique_ptr<CongestionCosts> costs;
+  std::vector<double> snapshot;
+  std::vector<std::size_t> sink_offset;
+
+  std::span<const double> weights(std::size_t i) const {
+    return {routed.sink_weights.data() + sink_offset[i],
+            netlist.nets[i].sinks.size()};
+  }
+};
+
+const RoundFixture& round_fixture() {
+  static const RoundFixture* f = [] {
+    ChipConfig c;
+    c.name = "bench";
+    c.num_nets = 240;
+    c.num_layers = 4;
+    c.nx = c.ny = 28;
+    c.capacity = 12.0;
+    c.seed = 3;
+    auto* out = new RoundFixture{c, make_chip_grid(c), {}, {}, {}, {}, {}};
+    out->netlist = generate_netlist(c, out->grid);
+    RouterOptions opts;
+    opts.method = SteinerMethod::kCD;
+    opts.threads = 4;
+    opts.shards = 4;
+    out->routed = route_rounds(out->grid, out->netlist, opts, 1);
+    out->costs = std::make_unique<CongestionCosts>(out->grid, opts.congestion);
+    for (const std::vector<EdgeId>& r : out->routed.routes) {
+      if (!r.empty()) out->costs->add_usage(r, +1.0);
+    }
+    out->snapshot = out->costs->edge_cost_vector();
+    out->sink_offset.assign(out->netlist.nets.size() + 1, 0);
+    for (std::size_t i = 0; i < out->netlist.nets.size(); ++i) {
+      out->sink_offset[i + 1] =
+          out->sink_offset[i] + out->netlist.nets[i].sinks.size();
+    }
+    return out;
+  }();
+  return *f;
+}
+
+SolveResult solve_cd(const OracleInstance& oi, const CostDistanceInstance& inst,
+                     const OracleParams& params, SolverScratch* scratch) {
+  SolverOptions opts = params.cd;
+  opts.seed = params.seed;
+  opts.future_cost = &oi.future_cost();
+  return solve_cost_distance(inst, opts, scratch);
+}
+
+TEST(SteinerOracle, LatticeSolveBitIdenticalToStampedCsr) {
+  const RoundFixture& f = round_fixture();
+  SparseMap<double> excluded;
+  SolverScratch scratch;
+  std::size_t solved = 0;
+  for (const double dbif : {0.0, 1.5}) {
+    for (const bool exclude : {false, true}) {
+      OracleParams params;
+      params.dbif = dbif;
+      for (std::size_t i = 0; i < f.netlist.nets.size(); ++i) {
+        const Net& net = f.netlist.nets[i];
+        if (net.sinks.empty()) continue;
+        collect_route_usage(f.grid, f.routed.routes[i], excluded);
+        const RoundPricing pricing{
+            f.snapshot,
+            exclude && !f.routed.routes[i].empty() ? &excluded : nullptr};
+        params.seed = 1000 + i;
+        const OracleInstance oi(f.grid, *f.costs, net, f.weights(i), params,
+                                &pricing);
+        const std::string what = "net " + std::to_string(i) + " dbif " +
+                                 std::to_string(dbif) +
+                                 (exclude ? " excluding" : "");
+        const SolveResult lattice =
+            solve_cd(oi, oi.lattice_instance(), params, &scratch);
+        const SolveResult stamped =
+            solve_cd(oi, oi.instance(), params, nullptr);
+        expect_bit_identical(lattice, stamped, what);
+        // run_method takes the lattice path and maps the same edges back.
+        const OracleOutcome out = run_method(oi, SteinerMethod::kCD, params);
+        EXPECT_EQ(out.grid_edges,
+                  oi.window().to_grid_edges(stamped.tree.all_edges()))
+            << what;
+        ++solved;
+      }
+    }
+  }
+  EXPECT_GT(solved, 4 * 200u);
+}
+
+TEST(SteinerOracle, LatticeSolveOnWidestLayersMatchesStampedCsr) {
+  // Layers with the most wire types a lattice allows: a vertex then has
+  // 2 * kMaxLatticeWireTypes + 2 arcs, two full relax strips.
+  std::vector<LayerSpec> layers = make_default_layer_stack(3);
+  for (LayerSpec& l : layers) {
+    l.wire_types.resize(kMaxLatticeWireTypes, l.wire_types.front());
+    for (std::size_t k = 0; k < l.wire_types.size(); ++k) {
+      l.wire_types[k].unit_cost = 1.0 + 0.5 * static_cast<double>(k);
+      l.wire_types[k].delay_per_gcell /= 1.0 + 0.4 * static_cast<double>(k);
+    }
+  }
+  const RoutingGrid grid(14, 12, layers, ViaSpec{});
+  CongestionCosts costs(grid);
+  Rng rng(17);
+  std::vector<EdgeId> used;
+  for (EdgeId e = 0; e < grid.graph().num_edges(); ++e) {
+    if (rng.uniform(4) == 0) used.push_back(e);
+  }
+  costs.add_usage(used, +1.0);
+  OracleParams params;
+  params.dbif = 1.5;
+  for (int n = 0; n < 8; ++n) {
+    Net net;
+    net.id = static_cast<std::uint32_t>(n);
+    const auto pin = [&] {
+      return Point3{static_cast<std::int32_t>(rng.uniform(14)),
+                    static_cast<std::int32_t>(rng.uniform(12)), 0};
+    };
+    net.source = pin();
+    for (int s = 0; s < 2 + n; ++s) net.sinks.push_back(SinkPin{pin(), 1.0});
+    const std::vector<double> weights(net.sinks.size(), 0.3 + 0.1 * n);
+    params.seed = 50 + static_cast<std::uint64_t>(n);
+    const OracleInstance oi(grid, costs, net, weights, params);
+    expect_bit_identical(solve_cd(oi, oi.lattice_instance(), params, nullptr),
+                         solve_cd(oi, oi.instance(), params, nullptr),
+                         "net " + std::to_string(n));
+  }
+}
+
+TEST(SteinerOracle, ScratchReuseAcrossWindowSizesMatchesFreshScratch) {
+  // Windows in big -> small -> big order, so one scratch's dense search
+  // state serves searches over fewer vertices than it holds and then grows
+  // again; each solve must equal a solve on a fresh scratch.
+  const RoundFixture& f = round_fixture();
+  OracleParams params;
+  params.dbif = 1.5;
+  std::vector<std::pair<std::size_t, std::size_t>> by_size;  // (n, net)
+  for (std::size_t i = 0; i < f.netlist.nets.size(); ++i) {
+    if (f.netlist.nets[i].sinks.empty()) continue;
+    const OracleInstance oi(f.grid, *f.costs, f.netlist.nets[i],
+                            f.weights(i), params);
+    by_size.emplace_back(oi.window().num_vertices(), i);
+  }
+  std::sort(by_size.begin(), by_size.end());
+  ASSERT_GE(by_size.size(), 6u);
+  std::vector<std::size_t> order;
+  for (std::size_t k = 0; k < 3; ++k) {
+    order.push_back(by_size[by_size.size() - 1 - k].second);  // big
+    order.push_back(by_size[k].second);                        // small
+  }
+  order.push_back(by_size.back().second);  // big again
+  ASSERT_LT(by_size.front().first * 4, by_size.back().first);
+
+  SolverScratch reused;
+  for (const std::size_t i : order) {
+    const OracleInstance oi(f.grid, *f.costs, f.netlist.nets[i],
+                            f.weights(i), params);
+    SolverScratch fresh;
+    expect_bit_identical(solve_cd(oi, oi.lattice_instance(), params, &reused),
+                         solve_cd(oi, oi.lattice_instance(), params, &fresh),
+                         "net " + std::to_string(i));
+  }
+}
+
+TEST(SteinerOracle, PricesAreFixedAtConstruction) {
+  // The Tables I/II harness builds instances, then moves the congestion
+  // state, then solves: every method must see the construction-time prices,
+  // including the stamped form a baseline writes out on first use.
+  const RoundFixture& f = round_fixture();
+  CongestionCosts costs(f.grid);
+  for (const std::vector<EdgeId>& r : f.routed.routes) {
+    if (!r.empty()) costs.add_usage(r, +1.0);
+  }
+  OracleParams params;
+  params.dbif = 1.5;
+  std::size_t checked = 0;
+  for (std::size_t i = 0; i < f.netlist.nets.size() && checked < 12; ++i) {
+    const Net& net = f.netlist.nets[i];
+    if (net.sinks.size() < 3) continue;
+    const OracleInstance before(f.grid, costs, net, f.weights(i), params);
+    std::vector<OracleOutcome> want;
+    for (const SteinerMethod m : all_methods()) {
+      want.push_back(run_method(before, m, params));
+    }
+    const OracleInstance oi(f.grid, costs, net, f.weights(i), params);
+    // Congest everything the earlier solves used, heavily.
+    for (const OracleOutcome& o : want) costs.add_usage(o.grid_edges, +8.0);
+    for (std::size_t k = 0; k < all_methods().size(); ++k) {
+      const SteinerMethod m = all_methods()[k];
+      const OracleOutcome got = run_method(oi, m, params);
+      EXPECT_EQ(got.grid_edges, want[k].grid_edges)
+          << method_name(m) << " net " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.eval.objective),
+                std::bit_cast<std::uint64_t>(want[k].eval.objective))
+          << method_name(m) << " net " << i;
+    }
+    // A window built now does see the new prices.
+    const OracleInstance after(f.grid, costs, net, f.weights(i), params);
+    EXPECT_NE(after.window().edge_costs(), oi.window().edge_costs());
+    for (const OracleOutcome& o : want) costs.add_usage(o.grid_edges, -8.0);
+    ++checked;
+  }
+  EXPECT_EQ(checked, 12u);
 }
 
 TEST(Metrics, AceOfUniformCongestion) {
