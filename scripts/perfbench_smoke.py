@@ -8,7 +8,9 @@ runs each workload for one second (untraced), plus one traced route_cd run,
 which replays the router's rounds through the public layer calls and checks
 the replay is identical. perfbench exits 0 even when its checks fail, so the
 verdict comes from the result line (the last line of stdout): it must carry
-"correct": true and "failed": 0. Exit status 1 on any failing run.
+"correct": true and "failed": 0. Exit status 1 on any failing run. Each
+run's line also prints its round_ms_p50 and peak_rss_mb, one time and one
+memory reading per workload for the log; they do not affect the verdict.
 """
 
 import json
@@ -21,6 +23,12 @@ RUNS = [
     ("serve_mixed", 0),
     ("route_cd", 1),
 ]
+
+
+def metric(result: dict, name: str) -> str:
+    """One metric of a result line, rounded for the log ("-" if absent)."""
+    value = result.get("metrics", {}).get(name, {}).get("value")
+    return "-" if value is None else "%.1f" % value
 
 
 def main() -> int:
@@ -36,9 +44,11 @@ def main() -> int:
             result = {}
         passed = (proc.returncode == 0 and result.get("correct") is True
                   and result.get("failed") == 0)
-        print("%-12s trace=%d  %s  (exit %d, attempted %s, failed %s)" %
-              (workload, trace, "ok" if passed else "FAILED", proc.returncode,
-               result.get("attempted"), result.get("failed")))
+        print("%-12s trace=%d  %-6s round_ms_p50 %s  peak_rss_mb %s  "
+              "(exit %d, attempted %s, failed %s)" %
+              (workload, trace, "ok" if passed else "FAILED",
+               metric(result, "round_ms_p50"), metric(result, "peak_rss_mb"),
+               proc.returncode, result.get("attempted"), result.get("failed")))
         if not passed:
             sys.stdout.write(proc.stdout)
             ok = False

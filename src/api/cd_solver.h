@@ -6,7 +6,15 @@
 /// per chip. A CdSolver amortizes that load: it owns SolverScratch lanes
 /// (search-state pool, ownership maps, path scratch) recycled across solves,
 /// so the steady state performs no per-solve allocations, and solves batches
-/// deterministically in parallel on a caller-shared ThreadPool. Pipelines
+/// deterministically in parallel on a caller-shared ThreadPool.
+///
+/// Memory: the DenseStateBudget bounds the dense state of the solves in
+/// flight. Scratch retention comes on top of it: the session keeps one
+/// scratch per lane that ever ran concurrently, and each keeps its grow-only
+/// search-state arrays after its solve releases its reservation — at most
+/// (t_max + 1) * n_max * 4 bytes of slots per scratch (t_max sinks, n_max
+/// vertices over the solves it served), plus label arenas, until the
+/// session is destroyed. Pipelines
 /// that cannot hold a whole batch's results use stream(): an incremental
 /// submit/poll/drain surface with a bounded in-flight window (see
 /// api/solve_stream.h).
@@ -42,9 +50,10 @@ struct StreamState;
 struct SolveStreamOptions {
   /// Maximum jobs in flight at once (submitted, not yet finished).
   /// submit() blocks when the window is full — the backpressure that
-  /// bounds peak dense-state memory to window * per-solve footprint
-  /// against the session's (or a shared) DenseStateBudget. Values < 1 are
-  /// treated as 1.
+  /// bounds the dense-state reservations in flight to window * per-solve
+  /// footprint against the session's (or a shared) DenseStateBudget. The
+  /// scratch the lanes leave behind is retained on top of that (see the
+  /// CdSolver memory note). Values < 1 are treated as 1.
   std::size_t window{8};
 };
 

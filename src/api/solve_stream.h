@@ -5,8 +5,10 @@
 /// A SolveStream is a bounded-window pipeline over one CdSolver session:
 /// submit(Job) dispatches the job onto the session's ThreadPool and returns
 /// immediately while fewer than `window` jobs are in flight, or blocks until
-/// a lane frees up — the backpressure that bounds peak dense-state memory
-/// to window * per-solve footprint against the shared DenseStateBudget.
+/// a lane frees up — the backpressure that bounds the dense-state
+/// reservations in flight to window * per-solve footprint against the
+/// shared DenseStateBudget (retained lane scratch comes on top; see
+/// api/cd_solver.h).
 /// poll() hands results back strictly in submission order (a result is
 /// withheld until every earlier one has been delivered), so the sequence of
 /// delivered results is bit-identical to solve_batch over the same jobs —

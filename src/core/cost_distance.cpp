@@ -43,12 +43,14 @@ class SearchStatePool {
   SearchStatePool() = default;
 
   /// Prepares the pool for one solve. Dense per-state index arrays cost
-  /// (t+1) * n slot entries across the pool's high-water mark; the caller
+  /// (t+1) * n 4-byte slots across the pool's high-water mark; the caller
   /// decides `dense` from its budget (per-solve bytes or the shared
-  /// DenseStateBudget pool) — sparse states cost O(touched) memory and skip
-  /// the future-bound memo, with identical results. Reclaims every state
-  /// allocated by earlier solves — including states left un-released when a
-  /// cancellation unwound a solve mid-flight.
+  /// DenseStateBudget pool) — sparse states cost O(touched) memory, with
+  /// identical results. Reclaims every state allocated by earlier solves —
+  /// including states left un-released when a cancellation unwound a solve
+  /// mid-flight (their labels still name the slots acquire() must zero).
+  /// Retained states keep their grow-only slot arrays after the solve's
+  /// reservation is released (see SolverScratch).
   void configure(std::size_t num_vertices, bool pooled, bool dense) {
     n_ = num_vertices;
     pooled_ = pooled;
@@ -56,12 +58,6 @@ class SearchStatePool {
     free_.clear();
     free_.reserve(all_.size());
     for (const auto& st : all_) free_.push_back(st.get());
-  }
-
-  /// Drops every retained state (h-generation wrap fence; see solve setup).
-  void drop_all() {
-    all_.clear();
-    free_.clear();
   }
 
   SearchState* acquire() {
@@ -198,9 +194,6 @@ struct SolverScratch::Impl {
   std::vector<std::uint64_t> edge_owned_bits;
   std::vector<VertexId> path_verts;
   std::vector<EdgeId> path_edges;
-  /// Future-bound memo generation, monotonic across the scratch's lifetime
-  /// so recycled SearchStates can never leak h-values between solves.
-  std::uint32_t h_gen{0};
 };
 
 SolverScratch::SolverScratch() : impl_(std::make_unique<Impl>()) {}
@@ -315,7 +308,6 @@ class Solver {
         arcs_(arcs),
         assembler_(view_),
         heap_(opts.queue),
-        scratch_(scratch),
         state_pool_(scratch.state_pool),
         comps_(scratch.comps),
         dsu_parent_(scratch.dsu_parent),
@@ -427,20 +419,9 @@ class Solver {
       dense = dense_bytes <= opts_.dense_state_budget_bytes;
     }
 
-    // Recycled scratch: O(1)-ish resets that keep every allocation. The
-    // h-generation is monotonic across solves so recycled states cannot leak
-    // memoized bounds; slots store it truncated to u16, so before it could
-    // reach the 16-bit wrap the retained states are dropped wholesale (fresh
-    // states start at stamp 0) and it restarts — the 2^15 generations of
-    // headroom left to the fence cover far more merges (one per sink) than
-    // any single solve performs.
+    // Recycled scratch: resets that keep every allocation.
     state_pool_.configure(view_.num_vertices(), opts_.pool_search_state,
                           dense);
-    if (scratch_.h_gen >= 0x8000u) {
-      state_pool_.drop_all();
-      scratch_.h_gen = 0;
-    }
-    ++scratch_.h_gen;
     comps_.clear();
     dsu_parent_.clear();
     searches_.clear();
@@ -528,10 +509,9 @@ class Solver {
     Search& s = searches_[comp];
     s.active = true;
     s.state = state_pool_.acquire();
-    s.state->labels.push_back(Label{comps_[comp].terminal, 0.0, 0xffffffffu,
-                                    kInvalidEdge, 0, false, false});
+    s.state->labels.push_back(Label{.vertex = comps_[comp].terminal, .g = 0.0});
     s.state->slot(comps_[comp].terminal) = 1;  // arena index 0, stored +1
-    heap_.push_or_decrease(comp, 0, future_bound(comp, comps_[comp].terminal));
+    heap_.push_or_decrease(comp, 0, future_bound(comp, 0));
   }
 
   void deactivate_search(std::uint32_t comp) {
@@ -543,24 +523,27 @@ class Solver {
   }
 
   /// Admissible lower bound h_u(x) on the remaining search metric from x to
-  /// the nearest active target (Section III-C). Memoized in the search state
-  /// (see SearchState::h_cached) and invalidated wholesale — one generation
-  /// bump — whenever a merge changes the target set.
-  double future_bound(std::uint32_t comp, VertexId x) {
+  /// the nearest active target (Section III-C), for x the vertex of label
+  /// `idx` of comp's search. Memoized on the label (see Label::h_cached) and
+  /// invalidated wholesale — one generation bump — whenever a merge changes
+  /// the target set.
+  double future_bound(std::uint32_t comp, std::uint32_t idx) {
     if (!astar_on_) return 0.0;
-    SearchState& st = *searches_[comp].state;
     double cached;
-    if (st.h_cached(x, scratch_.h_gen, &cached)) return cached;
+    if (searches_[comp].state->labels[idx].h_cached(h_gen_, &cached)) {
+      return cached;
+    }
     // Every bound — single misses here, batched misses in the strip relax
     // loop — funnels through future_bounds_plane, so each h of a solve is
     // produced by one instruction sequence regardless of which path asked
     // first.
     double h;
-    future_bounds_plane(comp, &x, 1, &h);
+    future_bounds_plane(comp, &idx, 1, &h);
     return h;
   }
 
-  /// Future bounds for up to Vec4d::kLanes vertices at once:
+  /// Future bounds for the vertices of up to Vec4d::kLanes labels of comp's
+  /// search at once:
   /// the root-target term evaluates as Vec4d geometry (one L1/via-delta pass
   /// shared by the delay and cost bounds, landmark tables folded by exact
   /// max), then the per-vertex nearest-terminal probe and memo store run
@@ -568,8 +551,9 @@ class Solver {
   /// (util/simd.h bit-identity contract); the int32 coordinates and their
   /// L1 sums are exactly representable as doubles, so evaluating the deltas
   /// in double lanes loses nothing.
-  void future_bounds_plane(std::uint32_t comp, const VertexId* xs,
+  void future_bounds_plane(std::uint32_t comp, const std::uint32_t* idxs,
                            std::uint32_t cnt, double* out) {
+    std::vector<Label>& labels = searches_[comp].state->labels;
     const double w = comps_[comp].weight;
     const bool cost_ok = comps_[comp].singleton;  // discount feasibility
     const VertexId rootv = comps_[root_comp_].terminal;
@@ -584,7 +568,7 @@ class Solver {
     alignas(kVecAlign) double ayd[Vec4d::kLanes];
     alignas(kVecAlign) double azd[Vec4d::kLanes];
     for (std::uint32_t k = 0; k < Vec4d::kLanes; ++k) {
-      gx[k] = xs[k < cnt ? k : cnt - 1];
+      gx[k] = labels[idxs[k < cnt ? k : cnt - 1]].vertex;
       const Point3& p = pos[gx[k]];
       axd[k] = static_cast<double>(p.x);
       ayd[k] = static_cast<double>(p.y);
@@ -617,18 +601,17 @@ class Solver {
     alignas(kVecAlign) double h4[Vec4d::kLanes];
     h.store(h4);
 
-    SearchState& st = *searches_[comp].state;
     for (std::uint32_t k = 0; k < cnt; ++k) {
       double hk = h4[k];
       // Nearest other terminal in the plane.
-      const std::int64_t nd = nn_->nearest_distance(fc.xy(xs[k]), comp);
+      const std::int64_t nd = nn_->nearest_distance(fc.xy(gx[k]), comp);
       if (nd != std::numeric_limits<std::int64_t>::max()) {
         const double dist = static_cast<double>(nd);
         double ht = dist * w * fc.min_unit_delay();
         if (cost_ok) ht += dist * fc.min_unit_cost();
         hk = std::min(hk, ht);
       }
-      st.store_h(xs[k], scratch_.h_gen, hk);
+      labels[idxs[k]].store_h(h_gen_, hk);
       out[k] = hk;
     }
   }
@@ -687,8 +670,11 @@ class Solver {
                               double ng) -> std::uint32_t {
       std::uint32_t& slot = su.slot(to);
       if (slot == 0) {
-        su.labels.push_back(
-            Label{to, ng, label_idx, e, next_depth, false, false});
+        su.labels.push_back(Label{.vertex = to,
+                                  .g = ng,
+                                  .parent_idx = label_idx,
+                                  .parent_edge = e,
+                                  .depth = next_depth});
         slot = static_cast<std::uint32_t>(su.labels.size());
         ++stats_.labels_relaxed;
         return (slot - 1) * 2;
@@ -756,7 +742,7 @@ class Solver {
         ng0.store(ng);
         ng1.store(ng + Vec4d::kLanes);
         // Accepted relaxations defer their pushes only to the end of the
-        // strip: memo hits resolve inline off the VersionedSlot line the
+        // strip: memo hits resolve inline off the Label line the
         // relaxation just touched, misses batch up to Vec4d::kLanes-wide
         // through future_bounds_plane, and the pushes then replay in arc
         // order against fixed stack arrays. The bound cannot change a key:
@@ -785,20 +771,20 @@ class Solver {
         std::uint32_t nm = 0;
         for (std::uint32_t i = 0; i < np; ++i) {
           double cached;
-          if (su.h_cached(heads[s + pk[i]], scratch_.h_gen, &cached)) {
+          if (su.labels[keys[i] >> 1].h_cached(h_gen_, &cached)) {
             h[i] = cached;
           } else {
             miss[nm++] = i;
           }
         }
-        VertexId xs[Vec4d::kLanes];
+        std::uint32_t idxs[Vec4d::kLanes];  // label indices of the misses
         double out[Vec4d::kLanes];
         for (std::uint32_t m = 0; m < nm; m += Vec4d::kLanes) {
           const std::uint32_t gc = std::min(Vec4d::kLanes, nm - m);
           for (std::uint32_t k = 0; k < gc; ++k) {
-            xs[k] = heads[s + pk[miss[m + k]]];
+            idxs[k] = keys[miss[m + k]] >> 1;
           }
-          future_bounds_plane(u, xs, gc, out);
+          future_bounds_plane(u, idxs, gc, out);
           for (std::uint32_t k = 0; k < gc; ++k) {
             h[miss[m + k]] = out[k];
           }
@@ -823,7 +809,7 @@ class Solver {
         if (!astar_on_) {
           heap_.push_or_decrease(u, key, ng);
         } else {
-          heap_.push_or_decrease(u, key, ng + future_bound(u, a.to));
+          heap_.push_or_decrease(u, key, ng + future_bound(u, key >> 1));
         }
       }
     }
@@ -968,12 +954,9 @@ class Solver {
       nn_->insert(s, opts_.future_cost->xy(cs.terminal));
     }
     // The active target set changed: every memoized future bound is stale.
-    // Bumping the generation both invalidates surviving searches' memos and
-    // fences recycled states (released above) from leaking h-values into the
-    // search seeded below. Must stay below the u16 stamp wrap until the next
-    // solve-setup fence; one bump per merge keeps this far away.
-    ++scratch_.h_gen;
-    CDST_ASSERT(scratch_.h_gen < 0x10000u);
+    // One generation bump invalidates the surviving searches' memos; the
+    // search seeded below starts with fresh labels, which never hit.
+    ++h_gen_;
 
     --remaining_;
     if (!root_merge) seed_search(s);
@@ -1045,7 +1028,6 @@ class Solver {
   SolverQueue heap_;
   // Recycled allocations, owned by the SolverScratch (see SolverScratch::Impl
   // above); cleared in init(), capacity retained across solves.
-  SolverScratch::Impl& scratch_;
   SearchStatePool& state_pool_;
   std::vector<Component>& comps_;
   std::vector<std::uint32_t>& dsu_parent_;
@@ -1063,6 +1045,9 @@ class Solver {
   bool place_on_{false};
   std::unique_ptr<L1NearestNeighbor> nn_;
 
+  /// Future-bound memo generation (see Label::h_cached): bumped once per
+  /// merge; it starts at 1 because a fresh label carries 0.
+  std::uint32_t h_gen_{1};
   std::uint32_t root_comp_{0};
   std::uint32_t remaining_{0};
   double active_sink_weight_{0.0};

@@ -42,6 +42,9 @@ class ThreadPool;  // util/thread_pool.h
 /// commit N times the budget the way independent per-lane budgeting did.
 /// A failed reservation falls back to sparse search state — slower, but
 /// bit-identical results (dense/sparse state never changes any output).
+/// The budget bounds the footprint of the solves in flight, not the
+/// process's retained memory: a solve's SolverScratch keeps its grow-only
+/// slot arrays after the reservation is released (see SolverScratch).
 class DenseStateBudget {
  public:
   explicit DenseStateBudget(std::size_t bytes)
@@ -182,15 +185,15 @@ struct SolverOptions {
   /// III-E: discount root-connection penalties by eta * dbif * w(u).
   bool encourage_root{true};
   /// Recycle per-search label arenas and vertex index arrays across the ~2t
-  /// searches of a solve (epoch-versioned O(1) resets) instead of allocating
-  /// fresh state per search. Identical results either way; off only for the
+  /// searches of a solve (resets cost O(labels of the previous search),
+  /// never O(n)) instead of allocating fresh state per search. Identical results either way; off only for the
   /// allocation-cost ablation (see ablation_enhancements).
   bool pool_search_state{true};
   /// Memory budget for the dense per-search vertex index arrays (t+1 live
-  /// searches x n vertices). Above it, searches fall back to sparse hash
-  /// indexes with O(touched-labels) memory — slower per lookup and without
-  /// the future-bound memo, but identical results (the windowed router
-  /// oracles always fit; huge standalone instances may not).
+  /// searches x n vertices x 4 bytes). Above it, searches fall back to
+  /// sparse hash indexes with O(touched-labels) memory — slower per lookup,
+  /// but identical results (the windowed router oracles always fit; huge
+  /// standalone instances may not).
   std::size_t dense_state_budget_bytes{512u << 20};
   /// When set, dense-state memory is reserved from this shared atomic pool
   /// instead of each solve budgeting independently against
@@ -236,6 +239,12 @@ struct SolveResult {
 /// one solve, kept allocated between solves. A session (`CdSolver`) holds one
 /// SolverScratch per concurrent solve lane, so the production pattern of
 /// millions of oracle calls stops churning the allocator entirely.
+///
+/// Retention: the dense index arrays only grow, so a scratch keeps up to
+/// (t+1) * n * 4 bytes of slots (t the most sinks, n the most vertices of
+/// the dense solves it ran), plus label arenas sized by its busiest
+/// searches, until it is destroyed — after those solves have returned
+/// their DenseStateBudget shares.
 ///
 /// Scratch contents never influence results: a solve against a recycled
 /// scratch is bit-identical to one against a fresh scratch (asserted by the

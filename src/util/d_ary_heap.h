@@ -123,10 +123,13 @@ class DAryHeap {
     if (id >= pos_.size()) [[unlikely]] grow_pos(id);
   }
   // Out of line so that push_or_decrease stays small enough for the
-  // compiler to inline into the search loops, which reserve() up front and
-  // never grow here.
+  // compiler to inline into the search loops. Grows geometrically: heaps
+  // that are never reserve()d (the cost-distance solver's per-search
+  // sub-heaps, keyed by ever-growing label ids) would otherwise resize once
+  // per new id.
   [[gnu::noinline]] void grow_pos(Id id) {
-    pos_.resize(static_cast<std::size_t>(id) + 1, kNpos);
+    pos_.resize(std::max(static_cast<std::size_t>(id) + 1, 2 * pos_.size()),
+                kNpos);
   }
 
   static std::size_t parent(std::size_t i) { return (i - 1) / Arity; }

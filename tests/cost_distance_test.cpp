@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 
 #include "core/cost_distance.h"
@@ -380,40 +381,115 @@ TEST(CostDistance, HeavySinksSitOnFasterPaths) {
 
 // ------------------------------------------------- dense search state
 
+/// Labels v the way the solver does: the slot is written together with the
+/// label it names, never on its own.
+void add_label(cd_detail::SearchState& st, VertexId v) {
+  ASSERT_EQ(st.slot(v), 0u) << v;
+  st.labels.push_back(cd_detail::Label{.vertex = v});
+  st.slot(v) = static_cast<std::uint32_t>(st.labels.size());
+}
+
+/// Number of the first n vertices whose slot is not empty.
+std::size_t stale_slots(cd_detail::SearchState& st, VertexId n) {
+  std::size_t stale = 0;
+  for (VertexId v = 0; v < n; ++v) stale += st.slot(v) != 0 ? 1 : 0;
+  return stale;
+}
+
 TEST(SearchState, GrowOnlyResetNeverLeaksAcrossSizes) {
   cd_detail::SearchState st;
   st.reset(100, /*dense=*/true);
-  for (VertexId v = 0; v < 100; ++v) st.slot(v) = v + 1;
+  for (VertexId v = 0; v < 100; ++v) add_label(st, v);
   // A smaller search uses a prefix; a later larger one sees no old labels.
   st.reset(10, true);
-  for (VertexId v = 0; v < 10; ++v) EXPECT_EQ(st.slot(v), 0u);
-  st.slot(3) = 9;
+  EXPECT_EQ(stale_slots(st, 10), 0u);
+  add_label(st, 3);
   st.reset(200, true);
-  for (VertexId v = 0; v < 200; ++v) EXPECT_EQ(st.slot(v), 0u) << v;
-  // Sparse searches in between leave the dense array consistent.
-  st.slot(150) = 4;
+  EXPECT_EQ(stale_slots(st, 200), 0u);
+  // Dense -> sparse -> dense: the sparse search's labels never touch the
+  // dense array, and the dense search before it is cleared on the way in.
+  add_label(st, 150);
+  add_label(st, 7);
   st.reset(50, /*dense=*/false);
   EXPECT_EQ(st.slot(150), 0u);
+  add_label(st, 150);
+  add_label(st, 20);
   st.reset(200, true);
-  EXPECT_EQ(st.slot(150), 0u);
+  EXPECT_EQ(stale_slots(st, 200), 0u);
+  add_label(st, 199);
+  st.reset(200, false);
+  st.reset(30, true);
+  st.reset(200, true);
+  EXPECT_EQ(stale_slots(st, 200), 0u);
 }
 
-TEST(SearchState, EpochWrapClearsSlotsBeyondTheCurrentSize) {
-  // A slot written at epoch 2 by a large search, then small searches until
-  // the epoch wraps (during a small reset, back to 1); the next large
-  // search runs at epoch 2 again. The wrap must have cleared the whole
-  // array, not just the small prefix, or the old label would alias.
+TEST(SearchState, SlotsStayClearAcrossSeventyThousandResets) {
+  // Past the 2^16 resets at which a 16-bit search epoch would wrap:
+  // alternating large and small searches, each labelling vertices both
+  // inside and beyond the small prefix, never see a slot of an earlier one.
   cd_detail::SearchState st;
-  st.reset(100, true);  // epoch 1
-  st.reset(100, true);  // epoch 2
-  st.slot(50) = 7;
-  st.slot(5) = 8;
-  // 0xfffd resets reach epoch 0xffff; the next one wraps to 1.
-  for (int i = 0; i < 0xfffe; ++i) st.reset(10, true);
-  EXPECT_EQ(st.slot(5), 0u);
-  st.reset(100, true);  // epoch 2 again
-  EXPECT_EQ(st.slot(50), 0u);
-  EXPECT_EQ(st.slot(5), 0u);
+  std::size_t stale = 0;
+  for (std::uint32_t i = 0; i < 70000; ++i) {
+    const VertexId n = (i % 3 == 0) ? 100 : 10;
+    st.reset(n, true);
+    stale += stale_slots(st, n);
+    add_label(st, i % n);
+    if (n == 100) add_label(st, (i % n + 50) % n);
+  }
+  EXPECT_EQ(stale, 0u);
+  st.reset(100, true);
+  EXPECT_EQ(stale_slots(st, 100), 0u);
+}
+
+TEST(SearchState, StateAbandonedByCancellationIsReclaimedClean) {
+  // A cancellation unwinds a solve with its searches still holding labels;
+  // the next solve on the scratch reclaims those states (configure() +
+  // acquire()) and must match a fresh scratch bit for bit — also when the
+  // next solve runs on a smaller graph and the one after on a larger one.
+  GridInstance big = make_grid_instance(31, 14, 12, 3, 12, 1.5);
+  GridInstance small = make_grid_instance(32, 6, 5, 3, 4, 1.5);
+  const SolverOptions big_opts = with_fc(big);
+  const SolverOptions small_opts = with_fc(small);
+  SolverScratch scratch;
+  std::atomic<bool> cancel{false};
+  SolveControls controls;
+  controls.cancel = &cancel;
+  controls.cancel_poll_interval = 1;
+  controls.on_merge = [&](const MergeTick& t) {
+    if (t.merges_done == 3) cancel.store(true);
+  };
+  EXPECT_THROW(solve_cost_distance(big.inst, big_opts, &scratch, &controls),
+               SolveCancelled);
+  const auto s_reused = solve_cost_distance(small.inst, small_opts, &scratch);
+  const auto s_fresh = solve_cost_distance(small.inst, small_opts, nullptr);
+  EXPECT_EQ(s_reused.tree.all_edges(), s_fresh.tree.all_edges());
+  EXPECT_EQ(s_reused.eval.objective, s_fresh.eval.objective);
+  EXPECT_EQ(s_reused.stats.labels_relaxed, s_fresh.stats.labels_relaxed);
+  const auto b_reused = solve_cost_distance(big.inst, big_opts, &scratch);
+  const auto b_fresh = solve_cost_distance(big.inst, big_opts, nullptr);
+  EXPECT_EQ(b_reused.tree.all_edges(), b_fresh.tree.all_edges());
+  EXPECT_EQ(b_reused.eval.objective, b_fresh.eval.objective);
+  EXPECT_EQ(b_reused.stats.labels_settled, b_fresh.stats.labels_settled);
+  EXPECT_EQ(b_reused.stats.labels_relaxed, b_fresh.stats.labels_relaxed);
+}
+
+TEST(SearchState, FutureBoundMemoHitsOnlyWithinItsGeneration) {
+  double h = -1.0;
+  cd_detail::SearchState st;
+  st.reset(10, true);
+  add_label(st, 4);
+  cd_detail::Label& lab = st.labels[0];
+  // Fresh labels carry generation 0; the solver's first generation is 1.
+  EXPECT_FALSE(lab.h_cached(1, &h));
+  lab.store_h(1, 2.5);
+  ASSERT_TRUE(lab.h_cached(1, &h));
+  EXPECT_EQ(h, 2.5);
+  EXPECT_FALSE(lab.h_cached(2, &h));  // a merge bumped the generation
+  // A later search reuses the arena: its fresh label at the same index and
+  // vertex must not inherit the old memo, whatever the generation.
+  st.reset(10, true);
+  add_label(st, 4);
+  EXPECT_FALSE(st.labels[0].h_cached(1, &h));
 }
 
 }  // namespace

@@ -386,6 +386,33 @@ TEST(SharedDenseBudget, TinyPoolFallsBackSparseWithIdenticalResults) {
   }
 }
 
+TEST(SharedDenseBudget, OneSolveReservesFourBytesPerSlot) {
+  // Pins the dense-state accounting: t+1 live searches x n vertices x one
+  // 4-byte slot, reserved for the solve's duration and returned in full.
+  const RoutingGrid grid(12, 10, make_default_layer_stack(3), ViaSpec{});
+  const FutureCost fc(grid);
+  const std::vector<double>& cost = grid.base_costs();
+  const std::vector<double>& delay = grid.edge_delays();
+  CostDistanceInstance inst;
+  inst.graph = &grid.graph();
+  inst.cost = &cost;
+  inst.delay = &delay;
+  inst.root = grid.vertex_at(0, 0, 0);
+  for (std::int32_t s = 1; s <= 5; ++s) {
+    inst.sinks.push_back(Terminal{grid.vertex_at(2 * s, s, 0), 1.0});
+  }
+  DenseStateBudget budget(512u << 20);
+  SolverOptions o;
+  o.future_cost = &fc;
+  o.shared_dense_budget = &budget;
+  SolverScratch scratch;
+  solve_cost_distance(inst, o, &scratch);
+  const std::int64_t n = grid.graph().num_vertices();
+  const std::int64_t t = static_cast<std::int64_t>(inst.sinks.size());
+  EXPECT_EQ(budget.peak_reserved_bytes(), (t + 1) * n * 4);
+  EXPECT_EQ(budget.capacity_bytes() - budget.remaining_bytes(), 0);
+}
+
 TEST(SharedDenseBudget, ReservationsReturnToThePool) {
   DenseStateBudget budget(1000);
   EXPECT_TRUE(budget.try_reserve(600));
